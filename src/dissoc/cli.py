@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 from typing import Iterable
 
 from .counting import count, dissociation_polynomial
@@ -56,10 +57,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_orders(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    lo, sep, hi = text.partition("..")
+    orders = list(range(int(lo), int(hi if sep else lo) + 1))
+    if not orders:
+        raise ValueError(f"empty order range {text}")
+    return orders
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of --top and --jobs: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def construct_graphs(family: str, order: int | None, parts: str | None) -> list[Graph]:
@@ -159,44 +169,28 @@ def _render_verdict(verdict: TheoremVerdict, fmt: str) -> None:
         print(f"result: {'verified' if verdict.verified else 'VIOLATED'}")
 
 
+QUESTION_CSV_COLUMNS = (
+    "order", "max_count", "second_count", "unicyclic_max",
+    "second_equals_unicyclic_max", "second_within_candidates", "connected_checked",
+    "connected_second_count", "connected_agrees", "second_graphs", "candidates",
+)
+
+
+def _csv_cell(value):
+    return ";".join(value) if isinstance(value, list) else value
+
+
 def _render_question(reports: list[QuestionReport], fmt: str) -> None:
     if fmt == "json":
         _emit_json([r.to_dict() for r in reports])
     elif fmt == "csv":
         rows = [
-            [
-                r.order,
-                r.max_count,
-                r.second_count,
-                r.unicyclic_max,
-                r.second_equals_unicyclic_max,
-                r.second_within_candidates,
-                r.connected_checked,
-                r.connected_second_count,
-                r.connected_agrees,
-                ";".join(r.second_graphs),
-                ";".join(r.candidates),
-            ]
+            [_csv_cell(getattr(r, col)) for col in QUESTION_CSV_COLUMNS]
             for r in reports
         ]
-        _emit_csv(
-            [
-                "order",
-                "max_count",
-                "second_count",
-                "unicyclic_max",
-                "second_equals_unicyclic_max",
-                "second_within_candidates",
-                "connected_checked",
-                "connected_second_count",
-                "connected_agrees",
-                "second_graphs",
-                "candidates",
-            ],
-            rows,
-        )
+        _emit_csv(list(QUESTION_CSV_COLUMNS), rows)
     else:
-        print(f"[{reports[0].banner}]" if reports else "no orders")
+        print(f"[{reports[0].banner}]")
         for r in reports:
             print(f"order {r.order}:")
             print(f"  max over trees+unicyclic:    {r.max_count}")
@@ -245,17 +239,16 @@ def cmd_count(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    family, order, graphs = args.family, args.order, None
     if args.file:
         graphs = list(read_graph6_file(args.file, strict=not args.lenient))
         if not graphs:
             raise ValueError(f"no graphs in {args.file}")
-        family = args.family or "stream"
-        order = args.order if args.order is not None else graphs[0].n
-        report = scan_family(family, order, top=args.top, jobs=args.jobs, graphs=graphs)
-    else:
-        if not args.family or args.order is None:
-            raise ValueError("scan needs --family and --order (or --file)")
-        report = scan_family(args.family, args.order, top=args.top, jobs=args.jobs)
+        family = family or "stream"
+        order = graphs[0].n if order is None else order
+    elif not family or order is None:
+        raise ValueError("scan needs --family and --order (or --file)")
+    report = scan_family(family, order, top=args.top, jobs=args.jobs, graphs=graphs)
     _render_scan(report, args.format)
     return 0
 
@@ -288,16 +281,7 @@ def cmd_chain(args) -> int:
             {
                 "input": to_graph6(g),
                 "final": to_graph6(final),
-                "steps": [
-                    {
-                        "edge": list(rec.edge),
-                        "before": rec.before,
-                        "after": rec.after,
-                        "relation": rec.relation,
-                        "twins": rec.twins,
-                    }
-                    for rec in records
-                ],
+                "steps": [asdict(rec) for rec in records],
             }
         )
     elif args.format == "csv":
@@ -345,14 +329,9 @@ def _add_input(p: argparse.ArgumentParser) -> None:
 
 
 def _add_strictness(p: argparse.ArgumentParser) -> None:
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--strict", action="store_true", default=True,
-        help="fail on the first bad graph6 line (default)",
-    )
-    mode.add_argument(
+    p.add_argument(
         "--lenient", action="store_true",
-        help="skip bad graph6 lines with a logged warning",
+        help="skip bad graph6 lines with a logged warning (default: fail on the first)",
     )
 
 
@@ -370,8 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=sorted(FAMILY_CAPS), help="generated family")
     p.add_argument("--order", type=int)
     p.add_argument("--file", help="external graph6 stream instead of a generator")
-    p.add_argument("--top", type=int, default=2, help="number of count tiers to keep")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--top", type=_positive_int, default=2, help="number of count tiers to keep"
+    )
+    p.add_argument("--jobs", type=_positive_int, default=1)
     _add_strictness(p)
     _add_format(p)
     p.set_defaults(func=cmd_scan)
@@ -379,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustively verify one named claim")
     p.add_argument("--theorem", choices=sorted(THEOREMS), required=True)
     p.add_argument("--orders", help="single order N or range A..B")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     _add_format(p)
     p.set_defaults(func=cmd_verify)
 
@@ -387,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         "question", help="second-largest tier among trees+unicyclic (exploratory)"
     )
     p.add_argument("--orders", help="single order N or range A..B (default 7..13)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument(
         "--no-cross-check", action="store_true",
         help="skip the exhaustive connected-graph cross-check at orders <= 9",

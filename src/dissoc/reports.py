@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import asdict, dataclass, field
+from functools import partial
+from itertools import chain, islice
 from multiprocessing import Pool
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .canon import canonical_form
 from .counting import (
@@ -69,44 +70,53 @@ def counted_stream(
             yield from zip(chunk, counts)
 
 
-def _progress(label: str, done: int) -> None:
-    if done % PROGRESS_EVERY == 0:
-        print(f"{label}: {done} graphs scanned", file=sys.stderr)
-
-
 class _TopTiers:
-    """Accumulate the graphs of the k largest distinct count values."""
+    """Accumulate the items of the k largest distinct count values."""
 
     def __init__(self, k: int):
         self.k = k
-        self.tiers: dict[int, list[str]] = {}
+        self.tiers: dict[int, list] = {}
 
-    def add(self, g6: str, c: int) -> None:
-        bucket = self.tiers.get(c)
-        if bucket is not None:
-            bucket.append(g6)
-            return
-        if len(self.tiers) < self.k:
-            self.tiers[c] = [g6]
-            return
-        low = min(self.tiers)
-        if c > low:
-            del self.tiers[low]
-            self.tiers[c] = [g6]
-
-    def ranked(self) -> list[tuple[int, list[str]]]:
-        return [
-            (c, _sort_by_canon(g6s))
-            for c, g6s in sorted(self.tiers.items(), reverse=True)
-        ]
+    def add(self, item, c: int) -> None:
+        if c in self.tiers:
+            self.tiers[c].append(item)
+        elif len(self.tiers) < self.k:
+            self.tiers[c] = [item]
+        elif c > min(self.tiers):
+            del self.tiers[min(self.tiers)]
+            self.tiers[c] = [item]
 
 
-def _sort_by_canon(g6s: list[str]) -> list[str]:
-    return sorted(g6s, key=lambda s: canonical_form(from_graph6(s)))
+class Tier(NamedTuple):
+    """A count value and its graphs, as graph6 and as canonical form, both
+    ordered by canonical form.  ``Tier()`` is the empty tier."""
+
+    count: int | None = None
+    graph6: tuple[str, ...] = ()
+    canon: tuple[bytes, ...] = ()
 
 
-def _canon_set(graphs: Iterable[Graph]) -> set[bytes]:
-    return {canonical_form(g) for g in graphs}
+def _tier(c: int | None, members: Iterable[tuple[str, Graph]]) -> Tier:
+    """Order (graph6, graph) pairs by canonical form; ties keep their order."""
+    keyed = sorted(((canonical_form(g), g6) for g6, g in members), key=lambda p: p[0])
+    canon, graph6 = zip(*keyed)
+    return Tier(c, graph6, canon)
+
+
+def sweep(
+    graphs: Iterable[Graph], k: int, jobs: int, label: str
+) -> tuple[int, list[Tier]]:
+    """Count every graph of a stream; return how many were scanned and the k
+    largest count tiers, best first.  Each kept graph is canonicalised once,
+    at the end.  Progress goes to stderr under ``label``."""
+    tracker = _TopTiers(k)
+    total = 0
+    for g, c in counted_stream(graphs, jobs=jobs):
+        total += 1
+        tracker.add((to_graph6(g), g), c)
+        if total % PROGRESS_EVERY == 0:
+            print(f"{label}: {total} graphs scanned", file=sys.stderr)
+    return total, [_tier(c, m) for c, m in sorted(tracker.tiers.items(), reverse=True)]
 
 
 # -- family scans --------------------------------------------------------------
@@ -153,26 +163,19 @@ def scan_family(
     start = time.monotonic()
     if graphs is None:
         graphs = family_stream(FamilySpec(family, order))
-    tracker = _TopTiers(max(top, 2))
-    total = 0
-    for g, c in counted_stream(graphs, jobs=jobs):
-        total += 1
-        tracker.add(to_graph6(g), c)
-        _progress(f"scan {family} n={order}", total)
+    total, tiers = sweep(graphs, max(top, 2), jobs, f"scan {family} n={order}")
     if total == 0:
         raise ValueError("nothing to scan: empty graph stream")
-    ranked = tracker.ranked()
-    max_count, extremal = ranked[0]
-    runner = ranked[1] if len(ranked) > 1 else None
+    runner = tiers[1] if len(tiers) > 1 else Tier()
     return ScanReport(
         family=family,
         order=order,
         total_scanned=total,
-        max_count=max_count,
-        extremal=extremal,
-        runner_up_count=runner[0] if runner else None,
-        runner_up=runner[1] if runner else [],
-        tiers=ranked[: max(top, 1)],
+        max_count=tiers[0].count,
+        extremal=list(tiers[0].graph6),
+        runner_up_count=runner.count,
+        runner_up=list(runner.graph6),
+        tiers=[(t.count, list(t.graph6)) for t in tiers[: max(top, 1)]],
         elapsed=time.monotonic() - start,
     )
 
@@ -265,26 +268,27 @@ def _verify_quasi_pendant(verdict: TheoremVerdict, orders: list[int], jobs: int)
 
 
 def _verify_family_max(
-    verdict: TheoremVerdict,
-    orders: list[int],
-    jobs: int,
     family: str,
     expected_max,
     expected_graphs,
+    verdict: TheoremVerdict,
+    orders: list[int],
+    jobs: int,
 ) -> None:
     for n in orders:
-        report = scan_family(family, n, top=1, jobs=jobs)
+        total, (top,) = sweep(
+            family_stream(FamilySpec(family, n)), 1, jobs, f"scan {family} n={n}"
+        )
         want_max = expected_max(n)
-        want = _canon_set(expected_graphs(n))
-        got = {s: canonical_form(from_graph6(s)) for s in report.extremal}
-        ok = report.max_count == want_max and set(got.values()) == want
-        unexpected = [s for s, key in got.items() if key not in want]
+        want = {canonical_form(g) for g in expected_graphs(n)}
+        ok = top.count == want_max and set(top.canon) == want
+        unexpected = [s for s, key in zip(top.graph6, top.canon) if key not in want]
         verdict.record(
             n,
             ok,
-            f"max {report.max_count} over {report.total_scanned} graphs"
+            f"max {top.count} over {total} graphs"
             f" (expected {want_max}, {len(want)} extremal)",
-            [] if ok else (unexpected or list(report.extremal)),
+            [] if ok else (unexpected or list(top.graph6)),
         )
 
 
@@ -306,20 +310,18 @@ THEOREMS = {
     "lemma-2.5": (_verify_edge_deletion, range(2, 8)),
     "lemma-2.8": (_verify_quasi_pendant, range(3, 8)),
     "tree-max-3.1": (
-        lambda v, o, j: _verify_family_max(
-            v, o, j, "trees", max_tree_count, extremal_trees
-        ),
+        partial(_verify_family_max, "trees", max_tree_count, extremal_trees),
         range(2, 15),
     ),
     "connected-max-3.2": (
-        lambda v, o, j: _verify_family_max(
-            v, o, j, "connected", max_tree_count, extremal_trees
-        ),
+        partial(_verify_family_max, "connected", max_tree_count, extremal_trees),
         range(2, 10),
     ),
     "unicyclic-max-4.3": (
-        lambda v, o, j: _verify_family_max(
-            v, o, j, "unicyclic", max_unicyclic_count,
+        partial(
+            _verify_family_max,
+            "unicyclic",
+            max_unicyclic_count,
             lambda n: [extremal_unicyclic(n)],
         ),
         range(3, 15),
@@ -334,6 +336,8 @@ def verify_theorem(theorem: str, orders: Iterable[int] | None = None, jobs: int 
         raise ValueError(f"unknown theorem {theorem!r}; known: {sorted(THEOREMS)}")
     func, default = THEOREMS[theorem]
     order_list = sorted(default if orders is None else orders)
+    if not order_list:
+        raise ValueError(f"no orders to verify {theorem} on")
     verdict = TheoremVerdict(theorem=theorem, orders=order_list)
     func(verdict, order_list, jobs)
     return verdict
@@ -362,20 +366,7 @@ class QuestionReport:
     banner: str = BANNER
 
     def to_dict(self) -> dict:
-        return {
-            "banner": self.banner,
-            "order": self.order,
-            "max_count": self.max_count,
-            "second_count": self.second_count,
-            "second_graphs": list(self.second_graphs),
-            "unicyclic_max": self.unicyclic_max,
-            "second_equals_unicyclic_max": self.second_equals_unicyclic_max,
-            "candidates": list(self.candidates),
-            "second_within_candidates": self.second_within_candidates,
-            "connected_checked": self.connected_checked,
-            "connected_second_count": self.connected_second_count,
-            "connected_agrees": self.connected_agrees,
-        }
+        return asdict(self)
 
 
 def _second_tier_candidates(n: int) -> list[Graph]:
@@ -395,54 +386,43 @@ def question_scan(
     """Second-largest tier among trees U unicyclic per order, compared to the
     unicyclic maximum; exhaustively cross-checked against all connected
     graphs where that family is generable (order <= 9)."""
+    order_list = sorted(orders)
+    if not order_list:
+        raise ValueError("no orders to scan")
     out = []
-    for n in sorted(orders):
-        tracker = _TopTiers(2)
-        for fam in ("trees", "unicyclic"):
-            for g, c in counted_stream(family_stream(FamilySpec(fam, n)), jobs=jobs):
-                tracker.add(to_graph6(g), c)
-        ranked = tracker.ranked()
-        max_count = ranked[0][0]
-        second_count, second_graphs = (
-            ranked[1] if len(ranked) > 1 else (None, [])
+    for n in order_list:
+        stream = chain.from_iterable(
+            family_stream(FamilySpec(fam, n)) for fam in ("trees", "unicyclic")
         )
+        _, tiers = sweep(stream, 2, jobs, f"question n={n} trees+unicyclic")
+        second = tiers[1] if len(tiers) > 1 else Tier()
         h_n = max_unicyclic_count(n)
-        candidates = _second_tier_candidates(n)
-        cand_canon = _canon_set(candidates)
-        second_canon = _canon_set(from_graph6(s) for s in second_graphs)
+        candidates = _tier(None, ((to_graph6(g), g) for g in _second_tier_candidates(n)))
 
         checked = cross_check and n <= 9
-        conn_second = None
-        agrees = None
+        conn = Tier()
         if checked:
-            conn = _TopTiers(2)
-            done = 0
-            for g, c in counted_stream(all_connected(n), jobs=jobs):
-                conn.add(to_graph6(g), c)
-                done += 1
-                _progress(f"question n={n} connected cross-check", done)
-            conn_ranked = conn.ranked()
-            conn_second, conn_graphs = (
-                conn_ranked[1] if len(conn_ranked) > 1 else (None, [])
-            )
-            agrees = (
-                conn_second == second_count
-                and _canon_set(from_graph6(s) for s in conn_graphs) == second_canon
-            )
+            label = f"question n={n} connected cross-check"
+            _, conn_tiers = sweep(all_connected(n), 2, jobs, label)
+            conn = conn_tiers[1] if len(conn_tiers) > 1 else Tier()
 
         out.append(
             QuestionReport(
                 order=n,
-                max_count=max_count,
-                second_count=second_count,
-                second_graphs=second_graphs,
+                max_count=tiers[0].count,
+                second_count=second.count,
+                second_graphs=list(second.graph6),
                 unicyclic_max=h_n,
-                second_equals_unicyclic_max=second_count == h_n,
-                candidates=_sort_by_canon([to_graph6(g) for g in candidates]),
-                second_within_candidates=second_canon <= cand_canon,
+                second_equals_unicyclic_max=second.count == h_n,
+                candidates=list(candidates.graph6),
+                second_within_candidates=set(second.canon) <= set(candidates.canon),
                 connected_checked=checked,
-                connected_second_count=conn_second,
-                connected_agrees=agrees,
+                connected_second_count=conn.count,
+                connected_agrees=(
+                    conn.count == second.count and set(conn.canon) == set(second.canon)
+                    if checked
+                    else None
+                ),
             )
         )
     return out

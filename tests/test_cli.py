@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,8 @@ from dissoc.counting import count, max_tree_count
 from dissoc.families import extremal_trees
 from dissoc.graph6 import from_graph6
 from dissoc.reports import scan_family
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, argv):
@@ -244,3 +250,43 @@ def test_chain_tree_has_no_steps(capsys):
 def test_chain_disconnected_exits_1(capsys):
     code, _, err = run(capsys, ["chain", "--g6", "A?"])
     assert code == 1 and "connected" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dissoc", "count", "--g6", "A_"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0 and proc.stdout == "4\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--theorem", "lemma-2.5", "--orders", "5..3"],
+        ["question", "--orders", "5..3"],
+    ],
+)
+def test_empty_order_range_exits_1(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert "empty order range 5..3" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--family", "trees", "--order", "5", "--top", "0"],
+        ["scan", "--family", "trees", "--order", "5", "--top", "-2"],
+        ["scan", "--family", "trees", "--order", "5", "--jobs", "0"],
+        ["verify", "--theorem", "lemma-2.5", "--orders", "3", "--jobs", "0"],
+        ["question", "--orders", "7", "--jobs", "-1"],
+        ["count", "--g6", "A_", "--strict"],
+    ],
+)
+def test_bad_option_values_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage" in capsys.readouterr().err

@@ -88,6 +88,11 @@ def _key(argv: list[str]) -> str:
     return " ".join(argv)
 
 
+def write_inputs(directory: Path) -> None:
+    for name, text in FILES.items():
+        (directory / name).write_text(text, encoding="utf-8")
+
+
 def run_cli(argv: list[str], directory: Path) -> tuple[int, str]:
     """Exit code and stdout of one in-process CLI run."""
     argv = [a.replace("{dir}", str(directory)) for a in argv]
@@ -108,8 +113,7 @@ def golden():
 @pytest.fixture(scope="module")
 def input_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("golden_inputs")
-    for name, text in FILES.items():
-        (directory / name).write_text(text)
+    write_inputs(directory)
     return directory
 
 
@@ -129,8 +133,7 @@ def record() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
-        for name, text in FILES.items():
-            (directory / name).write_text(text)
+        write_inputs(directory)
         table = {}
         for argv in INVOCATIONS:
             code, out = run_cli(argv, directory)

@@ -113,3 +113,10 @@ def test_question_scan_small_order_fields():
     assert report.connected_checked is False
     assert report.connected_agrees is None
     assert report.banner == "evidence, not theorem"
+
+
+def test_empty_order_lists_rejected():
+    with pytest.raises(ValueError, match="no orders"):
+        verify_theorem("lemma-2.5", [])
+    with pytest.raises(ValueError, match="no orders"):
+        question_scan([])
