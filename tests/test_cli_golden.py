@@ -79,6 +79,8 @@ UNFORMATTED = [
     ["gen", "--family", "connected", "--order", "10"],
     ["gen", "--family", "unicyclic", "--order", "6"],
     ["gen", "--family", "connected", "--order", "4"],
+    ["gen", "--family", "unicyclic", "--order", "8"],
+    ["verify", "--theorem", "unicyclic-max-4.3", "--orders", "10..11"],
 ]
 
 INVOCATIONS = [argv + ["--format", fmt] for argv in FORMATTED for fmt in FORMATS] + UNFORMATTED
