@@ -9,7 +9,10 @@ never collide:
   individualization-refinement search with automorphism pruning, picking the
   lexicographically largest relabelled adjacency over the search leaves.
 
-Equal strings iff isomorphic graphs.
+Equal strings iff isomorphic graphs.  ``unicyclic_key`` is a separate dedup
+key for connected graphs with exactly one cycle, built from leaf peeling and
+AHU codes without any search; its strings are not comparable with
+``canonical_form``'s.
 """
 
 from __future__ import annotations
@@ -23,35 +26,84 @@ def canonical_form(g: Graph) -> bytes:
         codes = sorted(_tree_code(g.adj, m) for m in g.component_masks())
         return b"T" + b"".join(codes)
     rows = _canonical_adjacency(g.adj, g.n)
-    return b"G" + bytes([g.n]) + b"".join(r.to_bytes(4, "little") for r in rows)
+    width = 4 if g.n <= 32 else 8
+    return b"G" + bytes([g.n]) + b"".join(r.to_bytes(width, "little") for r in rows)
 
 
-# -- forests ----------------------------------------------------------------
+# -- trees hanging off a core ------------------------------------------------
 
-def _tree_code(adj: tuple[int, ...], comp: int) -> bytes:
-    """AHU code of one tree component, rooted at its centre(s)."""
-    if comp.bit_count() == 1:
-        return b"()"
-    deg = {v: (adj[v] & comp).bit_count() for v in bits(comp)}
+def _peel(adj: tuple[int, ...], comp: int, keep: int) -> int:
+    """Strip whole layers of leaves from component ``comp`` while more than
+    ``keep`` vertices remain and leaves exist; return the vertices left.
+
+    On a tree with ``keep=2`` that is its centre (one vertex or an edge); on
+    a unicyclic component with ``keep=0`` it is the cycle.
+    """
+    deg = [(m & comp).bit_count() for m in adj]
     alive = comp
-    leaves = [v for v in bits(comp) if deg[v] <= 1]
     remaining = comp.bit_count()
-    while remaining > 2:
+    leaves = [v for v in bits(comp) if deg[v] <= 1]
+    while remaining > keep and leaves:
         nxt = []
         for v in leaves:
             alive &= ~(1 << v)
             remaining -= 1
-            for u in bits(adj[v] & alive):
+            # a leaf has at most one neighbour left
+            u = (adj[v] & alive).bit_length() - 1
+            if u >= 0:
                 deg[u] -= 1
                 if deg[u] == 1:
                     nxt.append(u)
         leaves = nxt
+    return alive
 
-    def code(v: int, parent: int) -> bytes:
-        subs = sorted(code(u, v) for u in bits(adj[v] & comp) if u != parent)
-        return b"(" + b"".join(subs) + b")"
 
-    return max(code(c, -1) for c in bits(alive))
+def _rooted_code(adj: tuple[int, ...], within: int, v: int) -> bytes:
+    """AHU code of the tree of ``within`` rooted at ``v``: children's codes
+    sorted, wrapped in one parenthesis pair.  ``v``'s parent, if any, must
+    already be outside ``within``."""
+    within &= ~(1 << v)
+    kids = adj[v] & within
+    if not kids:
+        return b"()"
+    return b"(" + b"".join(sorted([_rooted_code(adj, within, u) for u in bits(kids)])) + b")"
+
+
+def _tree_code(adj: tuple[int, ...], comp: int) -> bytes:
+    """AHU code of one tree component, rooted at its centre(s)."""
+    return max(_rooted_code(adj, comp, c) for c in bits(_peel(adj, comp, 2)))
+
+
+def unicyclic_key(adj: tuple[int, ...]) -> bytes:
+    """Dedup key of a connected graph with exactly one cycle, given by its
+    adjacency masks: equal keys exactly for isomorphic such graphs.
+
+    The graph is its cycle with one rooted tree hanging from each cycle
+    vertex, so its class is the cyclic sequence of the rooted trees' AHU
+    codes up to rotation and reflection.  The key is the smallest of those
+    2r sequences, joined; AHU codes are balanced parentheses, so the join
+    can be split back into the sequence.  For the same reason no code is a
+    proper prefix of another, so the smallest join starts with the smallest
+    code and only rotations starting there need comparing.
+    """
+    full = (1 << len(adj)) - 1
+    cycle = _peel(adj, full, 0)
+    hanging = full & ~cycle
+    seq = []
+    came_from = 0
+    v = cycle & -cycle
+    for _ in range(cycle.bit_count()):
+        c = v.bit_length() - 1
+        seq.append(_rooted_code(adj, hanging | v, c))
+        step = adj[c] & cycle & ~came_from
+        came_from, v = v, step & -step
+    low = min(seq)
+    return min(
+        b"".join(s[i:] + s[:i])
+        for s in (seq, seq[::-1])
+        for i, code in enumerate(s)
+        if code == low
+    )
 
 
 # -- general graphs ---------------------------------------------------------

@@ -2,9 +2,11 @@
 
 Free trees come from the rooted level-sequence successor generator filtered
 to centre-canonical rootings, so each isomorphism class appears exactly once
-without a dedup set.  Unicyclic graphs are trees plus one non-edge, connected
-and general graphs are one-vertex extensions of the previous order, both
-deduplicated by canonical form.  Streams are deterministic and restartable.
+without a dedup set.  Unicyclic graphs are trees plus one non-edge,
+deduplicated by the cycle-of-rooted-trees key ``unicyclic_key`` (leaf peeling
+and AHU codes, no search).  Connected and general graphs are one-vertex
+extensions of the previous order, deduplicated by canonical form.  Streams
+are deterministic and restartable.
 graph6 ingestion covers externally generated families beyond the caps.
 """
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .canon import canonical_form
+from .canon import canonical_form, unicyclic_key
 from .graph import Graph, bits
 from .graph6 import Graph6Error, from_graph6
 
@@ -144,7 +146,8 @@ def all_trees(n: int) -> Iterator[Graph]:
 
 def all_unicyclic(n: int) -> Iterator[Graph]:
     """One representative per class of connected graphs with exactly one
-    cycle: every tree of the order plus each non-edge, deduplicated."""
+    cycle: every tree of the order plus each non-edge ``u < v``, in that
+    order, keeping the first candidate of each class by ``unicyclic_key``."""
     FamilySpec("unicyclic", n).validate()
     seen: set[bytes] = set()
     for tree in all_trees(n):
@@ -153,11 +156,14 @@ def all_unicyclic(n: int) -> Iterator[Graph]:
             for v in range(u + 1, n):
                 if row >> v & 1:
                     continue
-                g = tree.with_edge(u, v)
-                key = canonical_form(g)
+                adj = list(tree.adj)
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+                adj = tuple(adj)
+                key = unicyclic_key(adj)
                 if key not in seen:
                     seen.add(key)
-                    yield g
+                    yield Graph.from_adj(adj)
 
 
 # -- general and connected graphs --------------------------------------------

@@ -53,11 +53,13 @@ def _count_g6(text: str) -> int:
 
 def counted_stream(
     graphs: Iterable[Graph], jobs: int = 1, batch: int = 2048
-) -> Iterator[tuple[Graph, int]]:
-    """Yield (graph, count) in stream order, optionally over a worker pool."""
+) -> Iterator[tuple[Graph, int, str | None]]:
+    """Yield (graph, count, graph6) in stream order, optionally over a worker
+    pool.  graph6 is the text shipped to the workers, or None when the graph
+    was counted in this process."""
     if jobs <= 1:
         for g in graphs:
-            yield g, count(g)
+            yield g, count(g), None
         return
     it = iter(graphs)
     with Pool(processes=jobs) as pool:
@@ -67,7 +69,7 @@ def counted_stream(
                 return
             texts = [to_graph6(g) for g in chunk]
             counts = pool.map(_count_g6, texts, chunksize=max(1, batch // (4 * jobs)))
-            yield from zip(chunk, counts)
+            yield from zip(chunk, counts, texts)
 
 
 class _TopTiers:
@@ -111,9 +113,9 @@ def sweep(
     at the end.  Progress goes to stderr under ``label``."""
     tracker = _TopTiers(k)
     total = 0
-    for g, c in counted_stream(graphs, jobs=jobs):
+    for g, c, text in counted_stream(graphs, jobs=jobs):
         total += 1
-        tracker.add((to_graph6(g), g), c)
+        tracker.add((text or to_graph6(g), g), c)
         if total % PROGRESS_EVERY == 0:
             print(f"{label}: {total} graphs scanned", file=sys.stderr)
     return total, [_tier(c, m) for c, m in sorted(tracker.tiers.items(), reverse=True)]
@@ -222,7 +224,7 @@ def _verify_bounds(verdict: TheoremVerdict, orders: list[int], jobs: int) -> Non
         low = (n * n + n + 2) // 2
         high = subset_bound(n)
         bad = []
-        for g, c in counted_stream(all_graphs(n), jobs=jobs):
+        for g, c, _ in counted_stream(all_graphs(n), jobs=jobs):
             ok = (
                 low <= c <= high
                 and (c == low) == is_complete_multipartite_small_parts(g)
@@ -233,8 +235,17 @@ def _verify_bounds(verdict: TheoremVerdict, orders: list[int], jobs: int) -> Non
         verdict.record(n, not bad, f"range [{low}, {high}]", bad)
 
 
+def _note_single_process(verdict: TheoremVerdict, jobs: int) -> None:
+    if jobs > 1:
+        print(
+            f"{verdict.theorem}: runs in one process; --jobs {jobs} is not used",
+            file=sys.stderr,
+        )
+
+
 def _verify_edge_deletion(verdict: TheoremVerdict, orders: list[int], jobs: int) -> None:
     """d(G) <= d(G-uv) for every edge, equality exactly at true twins."""
+    _note_single_process(verdict, jobs)
     for n in orders:
         bad = []
         for g in all_graphs(n):
@@ -253,8 +264,7 @@ def _verify_quasi_pendant(verdict: TheoremVerdict, orders: list[int], jobs: int)
     for n in orders:
         bad = []
         sites = 0
-        for g in all_connected(n):
-            before = count(g)
+        for g, before, _ in counted_stream(all_connected(n), jobs=jobs):
             for u_q, pendants in find_quasi_pendants(g):
                 if len(pendants) < 2:
                     continue
@@ -294,6 +304,7 @@ def _verify_family_max(
 
 def _verify_path_cycle(verdict: TheoremVerdict, orders: list[int], jobs: int) -> None:
     """Cycle counts sit below path counts, and both below the unicyclic max."""
+    _note_single_process(verdict, jobs)
     for n in orders:
         checks = []
         if n >= 4:

@@ -1,6 +1,7 @@
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from dissoc.graph import Graph
 from oracles import graph_from_triangle_bits
 
 settings.register_profile("suite", deadline=None)
@@ -13,3 +14,16 @@ def graphs(draw, min_n: int = 0, max_n: int = 8):
     n = draw(st.integers(min_n, max_n))
     bits = draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
     return graph_from_triangle_bits(n, bits)
+
+
+@st.composite
+def unicyclic_graphs(draw, min_n: int = 3, max_n: int = 12):
+    """A random tree (each vertex hangs from an earlier one) plus one random
+    non-edge: a connected graph with exactly one cycle."""
+    n = draw(st.integers(min_n, max_n))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    tree = Graph(n, edges)
+    non_edges = [
+        (u, v) for u in range(n) for v in range(u + 1, n) if not tree.has_edge(u, v)
+    ]
+    return tree.with_edge(*draw(st.sampled_from(non_edges)))

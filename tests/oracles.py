@@ -83,3 +83,23 @@ def random_graph(rng, n: int, p: float = 0.5) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return Graph(n, edges)
+
+
+def ir_unicyclic_stream(n: int):
+    """``all_unicyclic``'s candidates in its order (trees in stream order,
+    then each non-edge u < v), keeping the first of each class by the IR
+    ``canonical_form`` instead of ``unicyclic_key``."""
+    from dissoc.canon import canonical_form
+    from dissoc.generate import all_trees
+
+    seen = set()
+    for tree in all_trees(n):
+        for u in range(n):
+            for v in range(u + 1, n):
+                if tree.has_edge(u, v):
+                    continue
+                g = tree.with_edge(u, v)
+                key = canonical_form(g)
+                if key not in seen:
+                    seen.add(key)
+                    yield g

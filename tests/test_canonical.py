@@ -1,13 +1,14 @@
 import random
 from collections import defaultdict
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import graphs
-from dissoc.canon import canonical_form
+from conftest import graphs, unicyclic_graphs
+from dissoc.canon import canonical_form, unicyclic_key
 from dissoc.families import star_join
-from dissoc.graph import complete_graph, path_graph, star_graph
+from dissoc.graph import complete_graph, cycle_graph, path_graph, star_graph
 from oracles import all_labeled_graphs, brute_isomorphic, random_graph
 
 
@@ -59,3 +60,44 @@ def test_high_symmetry_graphs_terminate():
     for n in (7, 8, 9):
         k = complete_graph(n)
         assert canonical_form(k) == canonical_form(k.relabel(list(reversed(range(n)))))
+
+
+@pytest.mark.parametrize("n", [33, 64])
+def test_canonical_form_above_32_vertices(n):
+    c = cycle_graph(n)
+    key = canonical_form(c)
+    assert len(key) == 2 + 8 * n
+    perm = list(range(n))
+    random.Random(n).shuffle(perm)
+    assert canonical_form(c.relabel(perm)) == key
+    assert canonical_form(c.with_edge(0, n // 2)) != key
+    assert canonical_form(c.without_edge(0, 1)) != key
+
+
+def test_canonical_rows_stay_4_bytes_up_to_32_vertices():
+    assert len(canonical_form(cycle_graph(32))) == 2 + 4 * 32
+
+
+@given(unicyclic_graphs(max_n=64), st.randoms(use_true_random=False))
+def test_unicyclic_key_invariant_under_relabeling(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    assert unicyclic_key(g.relabel(perm).adj) == unicyclic_key(g.adj)
+
+
+@st.composite
+def unicyclic_pairs(draw):
+    """Two unicyclic graphs of one order up to 32; half the time the second
+    is a relabelled copy of the first."""
+    n = draw(st.integers(3, 32))
+    g = draw(unicyclic_graphs(n, n))
+    h = g if draw(st.booleans()) else draw(unicyclic_graphs(n, n))
+    perm = draw(st.permutations(range(n)))
+    return g, h.relabel(perm)
+
+
+@given(unicyclic_pairs())
+def test_unicyclic_key_splits_classes_like_canonical_form(pair):
+    g, h = pair
+    same_key = unicyclic_key(g.adj) == unicyclic_key(h.adj)
+    assert same_key == (canonical_form(g) == canonical_form(h))

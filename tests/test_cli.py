@@ -185,6 +185,24 @@ def test_verify_edge_deletion_small(capsys):
     assert code == 0 and "verified" in out
 
 
+def test_verify_jobs_splits_lemma_2_8_without_changing_stdout(capsys):
+    argv = ["verify", "--theorem", "lemma-2.8", "--orders", "3..6"]
+    code_seq, seq, _ = run(capsys, argv + ["--jobs", "1"])
+    code_par, par, err = run(capsys, argv + ["--jobs", "2"])
+    assert code_seq == code_par == 0 and par == seq
+    assert "--jobs" not in err
+
+
+@pytest.mark.parametrize("theorem,orders", [("lemma-2.5", "2..4"), ("path-cycle-4.1", "4..6")])
+def test_verify_jobs_says_when_it_is_not_used(capsys, theorem, orders):
+    argv = ["verify", "--theorem", theorem, "--orders", orders]
+    code, seq, err = run(capsys, argv)
+    assert code == 0 and "--jobs" not in err
+    code, par, err = run(capsys, argv + ["--jobs", "2"])
+    assert code == 0 and par == seq
+    assert f"{theorem}: runs in one process; --jobs 2 is not used" in err
+
+
 def test_verify_violation_exits_2(capsys):
     # order 3 is the documented flaw: K_3 ties the extremal tree P_3
     code, out, _ = run(

@@ -14,7 +14,12 @@ from dissoc.generate import (
 )
 from dissoc.graph import Graph, complete_graph, path_graph, star_graph
 from dissoc.graph6 import Graph6Error, to_graph6
-from oracles import all_labeled_trees, labeled_class_count, labeled_tree_class_count
+from oracles import (
+    all_labeled_trees,
+    ir_unicyclic_stream,
+    labeled_class_count,
+    labeled_tree_class_count,
+)
 
 
 def canon_set(graphs):
@@ -61,6 +66,23 @@ def test_unicyclic_stream_matches_labeled_dedup_oracle(n):
         n, keep=lambda g: g.is_connected() and g.cycle_space_dim() == 1
     )
     assert len(canon_set(all_unicyclic(n))) == want
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_unicyclic_stream_matches_ir_reference(n):
+    """Dedup by unicyclic_key keeps exactly the candidates the IR canonical
+    form keeps, in the same order and labelling."""
+    got = [to_graph6(g) for g in all_unicyclic(n)]
+    assert got == [to_graph6(g) for g in ir_unicyclic_stream(n)]
+
+
+# OEIS A001429: connected unicyclic graphs on n nodes
+A001429 = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657, 11: 1806, 12: 5026}
+
+
+@pytest.mark.parametrize("n", sorted(A001429))
+def test_unicyclic_class_counts_match_a001429(n):
+    assert sum(1 for _ in all_unicyclic(n)) == A001429[n]
 
 
 def test_unicyclic_stream_structure():

@@ -1,7 +1,9 @@
 import pytest
 
 from dissoc.counting import count, max_tree_count
+from dissoc import reports
 from dissoc.generate import all_trees
+from dissoc.graph6 import to_graph6
 from dissoc.reports import (
     _TopTiers,
     counted_stream,
@@ -23,9 +25,25 @@ def test_top_tiers_tracks_distinct_values():
 
 def test_counted_stream_parallel_matches_sequential():
     graphs = list(all_trees(9))
-    seq = [c for _, c in counted_stream(graphs, jobs=1)]
-    par = [c for _, c in counted_stream(graphs, jobs=2)]
-    assert seq == par
+    seq = list(counted_stream(graphs, jobs=1))
+    par = list(counted_stream(graphs, jobs=2))
+    assert [c for _, c, _ in seq] == [c for _, c, _ in par]
+    assert [text for _, _, text in seq] == [None] * len(graphs)
+    assert [text for _, _, text in par] == [to_graph6(g) for g in graphs]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_encodes_each_graph_once(monkeypatch, jobs):
+    calls = []
+
+    def counting_to_graph6(g):
+        calls.append(g)
+        return to_graph6(g)
+
+    monkeypatch.setattr(reports, "to_graph6", counting_to_graph6)
+    report = scan_family("trees", 9, jobs=jobs)
+    assert report.total_scanned == 47
+    assert len(calls) == 47
 
 
 def test_scan_family_single_class_has_no_runner_up():
