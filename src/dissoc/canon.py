@@ -66,7 +66,8 @@ def _rooted_code(adj: tuple[int, ...], within: int, v: int) -> bytes:
     kids = adj[v] & within
     if not kids:
         return b"()"
-    return b"(" + b"".join(sorted([_rooted_code(adj, within, u) for u in bits(kids)])) + b")"
+    subs = sorted([_rooted_code(adj, within, u) for u in bits(kids)])
+    return b"(" + b"".join(subs) + b")"
 
 
 def _tree_code(adj: tuple[int, ...], comp: int) -> bytes:
