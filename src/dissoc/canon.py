@@ -92,12 +92,12 @@ def unicyclic_key(adj: tuple[int, ...]) -> bytes:
     hanging = full & ~cycle
     seq = []
     came_from = 0
-    v = cycle & -cycle
+    bit = cycle & -cycle
     for _ in range(cycle.bit_count()):
-        c = v.bit_length() - 1
-        seq.append(_rooted_code(adj, hanging | v, c))
+        c = bit.bit_length() - 1
+        seq.append(_rooted_code(adj, hanging | bit, c))
         step = adj[c] & cycle & ~came_from
-        came_from, v = v, step & -step
+        came_from, bit = bit, step & -step
     low = min(seq)
     return min(
         b"".join(s[i:] + s[:i])
