@@ -76,6 +76,9 @@ UNFORMATTED = [
     ["construct", "--family", "extremal-unicyclic", "--order", "8"],
     ["construct", "--family", "star", "--order", "5"],
     ["gen", "--family", "trees", "--order", "4"],
+    ["gen", "--family", "trees", "--order", "10"],
+    ["gen", "--family", "connected", "--order", "6"],
+    ["gen", "--family", "all", "--order", "5"],
     ["gen", "--family", "connected", "--order", "10"],
     ["gen", "--family", "unicyclic", "--order", "6"],
     ["gen", "--family", "connected", "--order", "4"],
