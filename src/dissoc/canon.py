@@ -32,7 +32,7 @@ def canonical_form(g: Graph) -> bytes:
 
 # -- trees hanging off a core ------------------------------------------------
 
-def _peel(adj: tuple[int, ...], comp: int, keep: int) -> int:
+def peel(adj: tuple[int, ...], comp: int, keep: int) -> int:
     """Strip whole layers of leaves from component ``comp`` while more than
     ``keep`` vertices remain and leaves exist; return the vertices left.
 
@@ -72,7 +72,7 @@ def _rooted_code(adj: tuple[int, ...], within: int, v: int) -> bytes:
 
 def _tree_code(adj: tuple[int, ...], comp: int) -> bytes:
     """AHU code of one tree component, rooted at its centre(s)."""
-    return max(_rooted_code(adj, comp, c) for c in bits(_peel(adj, comp, 2)))
+    return max(_rooted_code(adj, comp, c) for c in bits(peel(adj, comp, 2)))
 
 
 def unicyclic_key(adj: tuple[int, ...]) -> bytes:
@@ -88,7 +88,7 @@ def unicyclic_key(adj: tuple[int, ...]) -> bytes:
     code and only rotations starting there need comparing.
     """
     full = (1 << len(adj)) - 1
-    cycle = _peel(adj, full, 0)
+    cycle = peel(adj, full, 0)
     hanging = full & ~cycle
     seq = []
     came_from = 0

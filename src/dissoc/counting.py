@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import MAX_VERTICES, Graph, bits
+from .graph import MAX_VERTICES, Graph, bits, component
 
 BRUTE_CAP = 24
 _CHUNK = 1 << 18
@@ -71,6 +71,17 @@ def dissociation_polynomial(g: Graph) -> list[int]:
 
 # -- branching engine --------------------------------------------------------
 
+def _branches(adj: tuple[int, ...], mask: int, v: int) -> list[int]:
+    """Surviving-vertex masks of the branches at v within mask: v excluded,
+    v isolated in the set, then v matched to each neighbour in turn."""
+    nbrs = adj[v] & mask
+    closed = nbrs | (1 << v)
+    out = [mask ^ (1 << v), mask & ~closed]
+    for u in bits(nbrs):
+        out.append(mask & ~(closed | adj[u] | (1 << u)))
+    return out
+
+
 def _count_mask(adj: tuple[int, ...], mask: int, memo: dict[int, int]) -> int:
     if mask == 0:
         return 1
@@ -78,16 +89,7 @@ def _count_mask(adj: tuple[int, ...], mask: int, memo: dict[int, int]) -> int:
     if cached is not None:
         return cached
 
-    # peel off the component containing the lowest vertex
-    comp = mask & -mask
-    frontier = comp
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= adj[v]
-        frontier = nxt & mask & ~comp
-        comp |= frontier
-
+    comp = component(adj, mask)
     if comp != mask:
         result = _count_mask(adj, comp, memo) * _count_mask(adj, mask ^ comp, memo)
     else:
@@ -97,11 +99,9 @@ def _count_mask(adj: tuple[int, ...], mask: int, memo: dict[int, int]) -> int:
             d = (adj[v] & mask).bit_count()
             if d > best:
                 pivot, best = v, d
-        closed = (adj[pivot] & mask) | (1 << pivot)
-        result = _count_mask(adj, mask ^ (1 << pivot), memo)
-        result += _count_mask(adj, mask & ~closed, memo)
-        for u in bits(adj[pivot] & mask):
-            result += _count_mask(adj, mask & ~(closed | adj[u] | (1 << u)), memo)
+        result = 0
+        for sub in _branches(adj, mask, pivot):
+            result += _count_mask(adj, sub, memo)
 
     memo[mask] = result
     return result
@@ -132,14 +132,10 @@ def branch_partition(g: Graph, v: int) -> BranchPartition:
     """Partition counts at pivot v; total always equals count(g)."""
     g._check_vertex(v)
     memo: dict[int, int] = {}
-    full = g.vertex_set
-    closed = g.adj[v] | (1 << v)
-    excluded = _count_mask(g.adj, full ^ (1 << v), memo)
-    isolated = _count_mask(g.adj, full & ~closed, memo)
-    matched = 0
-    for u in bits(g.adj[v]):
-        matched += _count_mask(g.adj, full & ~(closed | g.adj[u] | (1 << u)), memo)
-    return BranchPartition(excluded, isolated, matched)
+    excluded, isolated, *matched = [
+        _count_mask(g.adj, sub, memo) for sub in _branches(g.adj, g.vertex_set, v)
+    ]
+    return BranchPartition(excluded, isolated, sum(matched))
 
 
 # -- closed forms for named families ----------------------------------------

@@ -144,10 +144,9 @@ def is_complete_multipartite_small_parts(g: Graph) -> bool:
     """True for complete multipartite graphs whose parts have at most 2
     vertices: exactly the graphs whose complement is a union of K1 and K2."""
     full = g.vertex_set
-    comp = Graph.from_adj(
-        tuple(full & ~(g.adj[v] | (1 << v)) for v in range(g.n))
+    return is_union_of_vertices_and_edges(
+        Graph.from_adj(tuple(full & ~(g.adj[v] | (1 << v)) for v in range(g.n)))
     )
-    return all(m.bit_count() <= 2 for m in comp.component_masks())
 
 
 def is_union_of_vertices_and_edges(g: Graph) -> bool:

@@ -15,9 +15,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .canon import canonical_form, unicyclic_key
+from .canon import canonical_form, peel, unicyclic_key
 from .graph import Graph, bits
 from .graph6 import Graph6Error, from_graph6
 
@@ -90,26 +90,6 @@ def _tree_from_levels(levels: tuple[int, ...]) -> Graph:
     return Graph(len(levels), edges)
 
 
-def _tree_centers(adj: tuple[int, ...], n: int) -> list[int]:
-    if n <= 2:
-        return list(range(n))
-    deg = [m.bit_count() for m in adj]
-    alive = (1 << n) - 1
-    leaves = [v for v in range(n) if deg[v] == 1]
-    remaining = n
-    while remaining > 2:
-        nxt = []
-        for v in leaves:
-            alive &= ~(1 << v)
-            remaining -= 1
-            for u in bits(adj[v] & alive):
-                deg[u] -= 1
-                if deg[u] == 1:
-                    nxt.append(u)
-        leaves = nxt
-    return list(bits(alive))
-
-
 def _rooted_canonical_levels(adj: tuple[int, ...], root: int) -> tuple[int, ...]:
     """Lexicographically largest level sequence of (tree, root): children in
     descending subtree-sequence order."""
@@ -132,13 +112,13 @@ def all_trees(n: int) -> Iterator[Graph]:
     FamilySpec("trees", n).validate()
     for levels in _rooted_level_sequences(n):
         g = _tree_from_levels(levels)
-        centers = _tree_centers(g.adj, n)
-        if 0 not in centers:
+        centers = peel(g.adj, g.vertex_set, 2)
+        if not centers & 1:
             continue
-        if len(centers) == 1:
+        if centers == 1:
             # the generator already emits the canonical rooting at the centre
             yield g
-        elif levels == max(_rooted_canonical_levels(g.adj, c) for c in centers):
+        elif levels == max(_rooted_canonical_levels(g.adj, c) for c in bits(centers)):
             yield g
 
 
@@ -178,26 +158,37 @@ def _extend(h: Graph, mask: int) -> Graph:
     return Graph.from_adj(tuple(adj))
 
 
-@lru_cache(maxsize=None)
-def _graph_classes(n: int) -> tuple[Graph, ...]:
-    if n == 0:
-        return (Graph(0),)
-    out = []
+def _extensions(n: int, masks: Callable[[Graph], Iterable[int]]) -> Iterator[Graph]:
+    """Each class on n-1 vertices plus one new vertex adjacent to each mask
+    of ``masks(class)``, in that order, keeping the first candidate of each
+    canonical form."""
     seen: set[bytes] = set()
     for h in _graph_classes(n - 1):
-        for mask in range(1 << (n - 1)):
+        for mask in masks(h):
             g = _extend(h, mask)
             key = canonical_form(g)
             if key not in seen:
                 seen.add(key)
-                out.append(g)
-    return tuple(out)
+                yield g
+
+
+@lru_cache(maxsize=None)
+def _graph_classes(n: int) -> tuple[Graph, ...]:
+    if n == 0:
+        return (Graph(0),)
+    return tuple(_extensions(n, lambda h: range(1 << h.n)))
 
 
 def all_graphs(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of simple graphs on n vertices."""
     FamilySpec("all", n).validate()
     yield from _graph_classes(n)
+
+
+def _meets_every_component(h: Graph) -> list[int]:
+    """Neighbourhoods of a new vertex that join h into one component."""
+    comps = h.component_masks()
+    return [mask for mask in range(1 << h.n) if all(mask & c for c in comps)]
 
 
 def all_connected(n: int) -> Iterator[Graph]:
@@ -207,25 +198,7 @@ def all_connected(n: int) -> Iterator[Graph]:
     meets every component, which reaches exactly the connected classes.
     """
     FamilySpec("connected", n).validate()
-    if n == 1:
-        yield Graph(1)
-        return
-    seen: set[bytes] = set()
-    for h in _graph_classes(n - 1):
-        comps = h.component_masks()
-        for mask in range(1, 1 << (n - 1)):
-            hits_all = True
-            for c in comps:
-                if not mask & c:
-                    hits_all = False
-                    break
-            if not hits_all:
-                continue
-            g = _extend(h, mask)
-            key = canonical_form(g)
-            if key not in seen:
-                seen.add(key)
-                yield g
+    yield from _extensions(n, _meets_every_component)
 
 
 # -- graph6 streams -----------------------------------------------------------

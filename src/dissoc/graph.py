@@ -34,6 +34,20 @@ def vertex_mask(vertices: Iterable[int]) -> int:
     return m
 
 
+def component(adj: tuple[int, ...], mask: int) -> int:
+    """The component of G[mask] holding the lowest vertex of mask, given the
+    adjacency masks of G (0 for an empty mask)."""
+    comp = mask & -mask
+    frontier = comp
+    while frontier:
+        nxt = 0
+        for v in bits(frontier):
+            nxt |= adj[v]
+        frontier = nxt & mask & ~comp
+        comp |= frontier
+    return comp
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
@@ -160,16 +174,9 @@ class Graph:
         out = []
         rest = self.vertex_set
         while rest:
-            comp = rest & -rest
-            frontier = comp
-            while frontier:
-                nxt = 0
-                for v in bits(frontier):
-                    nxt |= self.adj[v]
-                frontier = nxt & rest & ~comp
-                comp |= frontier
+            comp = component(self.adj, rest)
             out.append(comp)
-            rest &= ~comp
+            rest ^= comp
         return out
 
     def components(self) -> list["Graph"]:
