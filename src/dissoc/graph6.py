@@ -1,17 +1,17 @@
-"""graph6 encoding and decoding for graphs of up to 32 vertices.
+"""graph6 encoding and decoding for graphs of up to 64 vertices.
 
 The format packs the upper triangle of the adjacency matrix, read column by
-column with increasing column index, into 6-bit groups offset by 63.  Only
-plain graph6 is supported; sparse6 (':' or ';') and digraph6 ('&') inputs are
-rejected.  The optional ``>>graph6<<`` stream header is tolerated and
-stripped.
+column with increasing column index, into 6-bit groups offset by 63.  The
+order is one byte ``63 + n`` up to n = 62 and ``~`` plus n in three 6-bit
+bytes from 63 on; the 8-byte ``~~`` form (n above 258047) is beyond the
+vertex cap and rejected.  Only plain graph6 is supported; sparse6 (':' or
+';') and digraph6 ('&') inputs are rejected.  The optional ``>>graph6<<``
+stream header is tolerated and stripped.
 """
 
 from __future__ import annotations
 
-from .graph import Graph
-
-GRAPH6_CAP = 32
+from .graph import MAX_VERTICES, Graph
 
 _HEADER = ">>graph6<<"
 
@@ -28,9 +28,12 @@ def _triangle_pairs(n: int):
 
 def to_graph6(g: Graph) -> str:
     """Encode a graph as a graph6 string (no trailing newline)."""
-    if g.n > GRAPH6_CAP:
-        raise Graph6Error(f"order {g.n} exceeds the {GRAPH6_CAP}-vertex cap")
-    out = [chr(63 + g.n)]
+    if g.n > MAX_VERTICES:
+        raise Graph6Error(f"order {g.n} exceeds the {MAX_VERTICES}-vertex cap")
+    if g.n <= 62:
+        out = [chr(63 + g.n)]
+    else:
+        out = ["~"] + [chr(63 + (g.n >> shift & 63)) for shift in (12, 6, 0)]
     group = 0
     width = 0
     for u, v in _triangle_pairs(g.n):
@@ -55,20 +58,27 @@ def from_graph6(text: str) -> Graph:
         raise Graph6Error("sparse6 input is not supported, only graph6")
     if text[0] == "&":
         raise Graph6Error("digraph6 input is not supported, only graph6")
-    first = ord(text[0])
-    if first == 126:
+    if text.startswith("~~"):
         raise Graph6Error(
-            f"multi-byte order header implies n > {GRAPH6_CAP} (unsupported)"
+            "8-byte order header '~~' (n > 258047) is beyond the "
+            f"{MAX_VERTICES}-vertex cap"
         )
-    if not 63 <= first <= 126:
-        raise Graph6Error(f"malformed header byte {text[0]!r}")
-    n = first - 63
-    if n > GRAPH6_CAP:
-        raise Graph6Error(f"order {n} exceeds the {GRAPH6_CAP}-vertex cap")
+    long = text[0] == "~"
+    header, body = (text[1:4], text[4:]) if long else (text[0], text[1:])
+    if long and len(header) < 3:
+        raise Graph6Error("truncated multi-byte order header")
+    n = 0
+    for ch in header:
+        if not 63 <= ord(ch) <= 126:
+            raise Graph6Error(f"malformed header byte {ch!r}")
+        n = n << 6 | (ord(ch) - 63)
+    if long and n <= 62:
+        raise Graph6Error(f"malformed multi-byte order header: n = {n} takes one byte")
+    if n > MAX_VERTICES:
+        raise Graph6Error(f"order {n} exceeds the {MAX_VERTICES}-vertex cap")
 
     nbits = n * (n - 1) // 2
     ngroups = (nbits + 5) // 6
-    body = text[1:]
     if len(body) < ngroups:
         raise Graph6Error(
             f"truncated bit vector: need {ngroups} data characters, got {len(body)}"

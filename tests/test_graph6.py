@@ -1,3 +1,5 @@
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given
@@ -60,7 +62,10 @@ def test_header_banner_is_stripped():
         (";Fa@x^", "sparse6"),
         ("&A_", "digraph6"),
         ("\x1f??", "malformed header"),
-        ("~??", "multi-byte"),
+        ("~??", "truncated multi-byte order header"),
+        ("~~??????", "8-byte"),
+        ("~??}", "takes one byte"),
+        ("~?\x1f~", "malformed header byte"),
         ("D", "truncated"),
         ("G??", "truncated"),
         ("A_?", "trailing garbage"),
@@ -85,7 +90,17 @@ def test_invalid_data_character_rejected():
 
 def test_order_cap_both_directions():
     with pytest.raises(Graph6Error, match="cap"):
-        from_graph6(chr(63 + 33) + "?" * 100)
-    big = Graph(40)
+        from_graph6("~?@@" + "?" * 347)
+    big = Graph.from_adj((0,) * 65)
     with pytest.raises(Graph6Error, match="cap"):
         to_graph6(big)
+
+
+@pytest.mark.parametrize("n", [33, 62, 63, 64])
+def test_roundtrip_with_networkx_up_to_the_cap(n):
+    rng = random.Random(n)
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3])
+    text = to_graph6(g)
+    assert text == _nx_graph6(g)
+    assert text.startswith("~") == (n >= 63)
+    assert from_graph6(text) == g

@@ -3,6 +3,7 @@ import pytest
 from dissoc.counting import count, max_tree_count
 from dissoc import reports
 from dissoc.generate import all_trees
+from dissoc.graph import cycle_graph, path_graph
 from dissoc.graph6 import to_graph6
 from dissoc.reports import (
     _TopTiers,
@@ -24,7 +25,8 @@ def test_top_tiers_tracks_distinct_values():
 
 
 def test_counted_stream_parallel_matches_sequential():
-    graphs = list(all_trees(9))
+    # the pool ships graphs as graph6, so include orders above 32 and 62
+    graphs = list(all_trees(9)) + [path_graph(40), cycle_graph(64)]
     seq = list(counted_stream(graphs, jobs=1))
     par = list(counted_stream(graphs, jobs=2))
     assert [c for _, c, _ in seq] == [c for _, c, _ in par]
