@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 from dataclasses import asdict
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .counting import count, dissociation_polynomial
 from .families import (
@@ -238,14 +239,26 @@ def cmd_count(args) -> int:
     return 0
 
 
+def _of_order(graphs: Iterable[Graph], order: int) -> Iterator[Graph]:
+    """Pass the graphs through, raising on the first one of another order."""
+    for g in graphs:
+        if g.n != order:
+            raise ValueError(
+                f"graph {to_graph6(g)} has order {g.n}, the scan's order is {order}"
+            )
+        yield g
+
+
 def cmd_scan(args) -> int:
     family, order, graphs = args.family, args.order, None
     if args.file:
-        graphs = list(read_graph6_file(args.file, strict=not args.lenient))
-        if not graphs:
+        stream = read_graph6_file(args.file, strict=not args.lenient)
+        first = next(stream, None)
+        if first is None:
             raise ValueError(f"no graphs in {args.file}")
         family = family or "stream"
-        order = graphs[0].n if order is None else order
+        order = first.n if order is None else order
+        graphs = _of_order(itertools.chain([first], stream), order)
     elif not family or order is None:
         raise ValueError("scan needs --family and --order (or --file)")
     report = scan_family(family, order, top=args.top, jobs=args.jobs, graphs=graphs)

@@ -159,6 +159,23 @@ def test_scan_external_stream(tmp_path, capsys):
     assert report["max_count"] == 84
 
 
+@pytest.mark.parametrize(
+    "text,extra,message",
+    [
+        # two trees of order 7, then P_8
+        ("FhI?G\nFhQ?G\nGhCGGC\n", [], "graph GhCGGC has order 8, the scan's order is 7"),
+        ("FhI?G\n", ["--order", "8"], "graph FhI?G has order 7, the scan's order is 8"),
+        ("", [], "no graphs in"),
+    ],
+)
+def test_scan_file_rejects_other_orders_and_empty_files(tmp_path, capsys, text, extra, message):
+    file = tmp_path / "in.g6"
+    file.write_text(text)
+    code, out, err = run(capsys, ["scan", "--file", str(file)] + extra)
+    assert code == 1 and out == ""
+    assert message in err
+
+
 def test_scan_report_json_roundtrips():
     report = scan_family("trees", 6, top=3)
     payload = json.loads(json.dumps(report.to_dict()))
