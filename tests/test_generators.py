@@ -33,7 +33,10 @@ def canon_set(graphs):
 
 # -- trees ---------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", range(1, 9))
+# n = 8 canonicalises all 8^6 labelled Pruefer trees (about 28 s)
+@pytest.mark.parametrize(
+    "n", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)]
+)
 def test_tree_stream_matches_labeled_dedup_oracle(n):
     got = canon_set(all_trees(n))
     want = {canonical_form(t) for t in all_labeled_trees(n)}
