@@ -73,7 +73,9 @@ def from_graph6(text: str) -> Graph:
             raise Graph6Error(f"malformed header byte {ch!r}")
         n = n << 6 | (ord(ch) - 63)
     if long and n <= 62:
-        raise Graph6Error(f"malformed multi-byte order header: n = {n} takes one byte")
+        raise Graph6Error(
+            f"malformed order header: '~' form for n = {n}, which takes one byte"
+        )
     if n > MAX_VERTICES:
         raise Graph6Error(f"order {n} exceeds the {MAX_VERTICES}-vertex cap")
 

@@ -62,7 +62,7 @@ def test_header_banner_is_stripped():
         (";Fa@x^", "sparse6"),
         ("&A_", "digraph6"),
         ("\x1f??", "malformed header"),
-        ("~??", "truncated multi-byte order header"),
+        ("~??", "multi-byte"),
         ("~~??????", "8-byte"),
         ("~??}", "takes one byte"),
         ("~?\x1f~", "malformed header byte"),
