@@ -40,10 +40,13 @@ def component(adj: tuple[int, ...], mask: int) -> int:
     comp = mask & -mask
     frontier = comp
     while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= adj[v]
-        frontier = nxt & mask & ~comp
+        reach = 0
+        # bits() inlined: the counting engine runs this once per memo miss
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & mask & ~comp
         comp |= frontier
     return comp
 
