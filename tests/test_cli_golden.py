@@ -45,6 +45,7 @@ FORMATTED = [
     ["count"],
     ["count", "--file", "{dir}/mixed.g6"],
     ["count", "--file", "{dir}/mixed.g6", "--lenient"],
+    ["count", "--file", "{dir}/trees7.g6"],
     ["scan", "--family", "trees", "--order", "7"],
     ["scan", "--family", "unicyclic", "--order", "7"],
     ["scan", "--family", "trees", "--order", "8"],
