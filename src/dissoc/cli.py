@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import itertools
 import json
 import sys
@@ -94,15 +93,16 @@ def construct_graphs(family: str, order: int | None, parts: str | None) -> list[
     return list(builders[family](order))
 
 
-def _input_graphs(args) -> list[Graph]:
+def _input_graphs(args) -> Iterator[Graph]:
+    """The input graphs; a --file is read as it is consumed."""
     given = [bool(args.g6), bool(args.file), bool(args.family)]
     if sum(given) != 1:
         raise ValueError("provide exactly one of --g6, --file, or --family")
     if args.g6:
-        return [from_graph6(args.g6)]
+        return iter([from_graph6(args.g6)])
     if args.file:
-        return list(read_graph6_file(args.file, strict=not args.lenient))
-    return construct_graphs(args.family, args.order, getattr(args, "parts", None))
+        return read_graph6_file(args.file, strict=not args.lenient)
+    return iter(construct_graphs(args.family, args.order, getattr(args, "parts", None)))
 
 
 # -- rendering -----------------------------------------------------------------
@@ -112,11 +112,11 @@ def _emit_json(payload) -> None:
 
 
 def _emit_csv(header: list[str], rows: Iterable[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    """Write the header, then each row as the iterable yields it."""
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+    for row in rows:
+        writer.writerow(row)
 
 
 def _render_scan(report: ScanReport, fmt: str) -> None:
@@ -209,33 +209,39 @@ def _render_question(reports: list[QuestionReport], fmt: str) -> None:
 
 # -- subcommands -----------------------------------------------------------------
 
+def _count_entry(g: Graph, poly: bool) -> dict:
+    entry = {"graph6": to_graph6(g), "count": count(g)}
+    if poly:
+        entry["polynomial"] = dissociation_polynomial(g)
+    return entry
+
+
 def cmd_count(args) -> int:
     graphs = _input_graphs(args)
-    results = []
-    for g in graphs:
-        entry = {"graph6": to_graph6(g), "count": count(g)}
-        if args.poly:
-            entry["polynomial"] = dissociation_polynomial(g)
-        results.append(entry)
     if args.format == "json":
-        _emit_json(results)
-    elif args.format == "csv":
+        _emit_json([_count_entry(g, args.poly) for g in graphs])
+        return 0
+    # table and CSV print each graph as it is counted; two graphs tell a
+    # single-graph table (a bare count) from a listing
+    head = list(itertools.islice(graphs, 2))
+    entries = (_count_entry(g, args.poly) for g in itertools.chain(head, graphs))
+    if args.format == "csv":
         header = ["graph6", "count"] + (["polynomial"] if args.poly else [])
-        rows = [
+        rows = (
             [e["graph6"], e["count"]]
             + ([" ".join(map(str, e["polynomial"]))] if args.poly else [])
-            for e in results
-        ]
+            for e in entries
+        )
         _emit_csv(header, rows)
-    else:
-        for e in results:
-            if len(results) == 1 and not args.poly:
-                print(e["count"])
-            else:
-                line = f"{e['graph6']} {e['count']}"
-                if args.poly:
-                    line += "  poly " + " ".join(map(str, e["polynomial"]))
-                print(line)
+        return 0
+    for e in entries:
+        if len(head) == 1 and not args.poly:
+            print(e["count"])
+        else:
+            line = f"{e['graph6']} {e['count']}"
+            if args.poly:
+                line += "  poly " + " ".join(map(str, e["polynomial"]))
+            print(line)
     return 0
 
 
@@ -281,7 +287,7 @@ def cmd_question(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    graphs = _input_graphs(args)
+    graphs = list(_input_graphs(args))
     if len(graphs) != 1:
         raise ValueError("chain needs exactly one input graph")
     g = graphs[0]

@@ -72,6 +72,25 @@ def test_count_file_lenient_vs_strict(tmp_path, capsys):
     assert [line.split()[1] for line in out.strip().splitlines()] == ["4", "2"]
 
 
+@pytest.mark.parametrize(
+    "fmt,want",
+    [
+        ("table", "A_ 4\n@ 2\nBw 7\n"),
+        ("csv", "graph6,count\nA_,4\n@,2\nBw,7\n"),
+        ("json", ""),
+    ],
+)
+def test_count_file_streams_table_and_csv(tmp_path, capsys, fmt, want):
+    """Table and CSV print each graph before the next line is read, so a
+    bad fourth line comes after three results; JSON prints one array or
+    nothing."""
+    path = tmp_path / "graphs.g6"
+    path.write_text("A_\n@\nBw\nnot-a-graph±\n")
+    code, out, err = run(capsys, ["count", "--file", str(path), "--format", fmt])
+    assert code == 1 and "line 4" in err
+    assert out == want
+
+
 def test_construct_extremal_tree_6_two_graphs(capsys):
     code, out, _ = run(
         capsys, ["construct", "--family", "extremal-tree", "--order", "6"]
