@@ -4,9 +4,13 @@ Free trees come from the rooted level-sequence successor generator filtered
 to centre-canonical rootings, so each isomorphism class appears exactly once
 without a dedup set.  Unicyclic graphs are trees plus one non-edge,
 deduplicated by the cycle-of-rooted-trees key ``unicyclic_key`` (leaf peeling
-and AHU codes, no search).  Connected and general graphs are one-vertex
-extensions of the previous order, deduplicated by canonical form.  Streams
-are deterministic and restartable.
+and AHU codes, no search).  Connected and general graphs grow by canonical
+deletion (McKay, "Isomorph-free exhaustive generation", 1998): each class of
+the previous order in the same family gets one new vertex per neighbourhood
+mask, a cheap vertex invariant rejects most children whose new vertex is not
+the one it would delete, and canonical form dedups the few survivors.  Only
+the parent order is cached; the requested order streams.  Streams are
+deterministic and restartable.
 graph6 ingestion covers externally generated families beyond the caps.
 """
 
@@ -15,10 +19,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .canon import canonical_form, peel, unicyclic_key
-from .graph import Graph, bits
+from .graph import Graph, bits, component
 from .graph6 import Graph6Error, from_graph6
 
 log = logging.getLogger(__name__)
@@ -158,47 +162,107 @@ def _extend(h: Graph, mask: int) -> Graph:
     return Graph.from_adj(tuple(adj))
 
 
-def _extensions(n: int, masks: Callable[[Graph], Iterable[int]]) -> Iterator[Graph]:
-    """Each class on n-1 vertices plus one new vertex adjacent to each mask
-    of ``masks(class)``, in that order, keeping the first candidate of each
-    canonical form."""
+def _components_without(h: Graph) -> list[list[int]]:
+    """For each vertex u of h, the component masks of h - u."""
+    out = []
+    for u in range(h.n):
+        rest = h.vertex_set & ~(1 << u)
+        comps = []
+        while rest:
+            comp = component(h.adj, rest)
+            comps.append(comp)
+            rest ^= comp
+        out.append(comps)
+    return out
+
+
+def _extensions(n: int, connected: bool) -> Iterator[Graph]:
+    """One graph per class on n vertices (connected ones only if asked), by
+    canonical deletion.
+
+    Each class on n-1 vertices (of the same family) gets a new vertex
+    adjacent to each mask, in increasing order; a connected child needs a
+    non-empty mask unless its parent is empty.  A candidate survives only
+    if no vertex it may delete has a larger key (degree, sorted neighbour
+    degrees) than its new vertex: for connected graphs those are the
+    non-cut vertices, for all graphs every vertex.  The first survivor of
+    each canonical form is kept.  Every class survives: removing a top-key
+    deletable vertex x leaves a parent class, and some mask rebuilds the
+    class from it with x as the new vertex.
+    """
+    if n == 0:
+        yield Graph(0)
+        return
     seen: set[bytes] = set()
-    for h in _graph_classes(n - 1):
-        for mask in masks(h):
+    for h in _classes(n - 1, connected):
+        deg = [m.bit_count() for m in h.adj]
+        at = [0] * n  # at[d]: vertices of h of degree d
+        for u, du in enumerate(deg):
+            at[du] |= 1 << u
+        above = [0] * n  # above[d]: vertices of h of degree above d
+        for d in range(n - 2, -1, -1):
+            above[d] = above[d + 1] | at[d + 1]
+        # u may be deleted from a child iff the new vertex meets every
+        # component of h - u; the new vertex itself never cuts the child
+        splits = _components_without(h) if connected else None
+        for mask in range(1 if connected and h.n else 0, 1 << h.n):
+            d = mask.bit_count()
+            # the child's degrees are deg plus one on mask, and d for the new
+            # vertex: these vertices have a larger or an equal degree
+            higher = above[d] | at[d] & mask
+            if connected:
+                higher = _deletable(splits, higher, mask)
+            if higher:
+                continue
+            equal = at[d] & ~mask | (at[d - 1] & mask if d else 0)
+            if connected:
+                equal = _deletable(splits, equal, mask)
             g = _extend(h, mask)
+            if equal and _outranked(g.adj, equal):
+                continue
             key = canonical_form(g)
             if key not in seen:
                 seen.add(key)
                 yield g
 
 
+def _deletable(splits: list[list[int]], vertices: int, mask: int) -> int:
+    """The vertices whose deletion leaves the child of mask connected."""
+    out = 0
+    for u in bits(vertices):
+        if all(comp & mask for comp in splits[u]):
+            out |= 1 << u
+    return out
+
+
+def _outranked(adj: tuple[int, ...], rivals: int) -> bool:
+    """Whether a rival of the last vertex, of the same degree, has larger
+    sorted neighbour degrees."""
+    deg = [m.bit_count() for m in adj]
+    new = len(adj) - 1
+    mine = sorted([deg[u] for u in bits(adj[new])])
+    return any(sorted([deg[w] for w in bits(adj[u])]) > mine for u in bits(rivals))
+
+
 @lru_cache(maxsize=None)
-def _graph_classes(n: int) -> tuple[Graph, ...]:
-    if n == 0:
-        return (Graph(0),)
-    return tuple(_extensions(n, lambda h: range(1 << h.n)))
+def _classes(n: int, connected: bool) -> tuple[Graph, ...]:
+    return tuple(_extensions(n, connected))
 
 
 def all_graphs(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of simple graphs on n vertices."""
     FamilySpec("all", n).validate()
-    yield from _graph_classes(n)
-
-
-def _meets_every_component(h: Graph) -> list[int]:
-    """Neighbourhoods of a new vertex that join h into one component."""
-    comps = h.component_masks()
-    return [mask for mask in range(1 << h.n) if all(mask & c for c in comps)]
+    yield from _extensions(n, False)
 
 
 def all_connected(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of connected graphs.
 
-    Extends every (n-1)-vertex class by a new vertex whose neighbourhood
-    meets every component, which reaches exactly the connected classes.
+    Extends the connected classes on n-1 vertices: deleting a non-cut vertex,
+    which every connected graph has, leaves one of them.
     """
     FamilySpec("connected", n).validate()
-    yield from _extensions(n, _meets_every_component)
+    yield from _extensions(n, True)
 
 
 # -- graph6 streams -----------------------------------------------------------

@@ -5,6 +5,7 @@ bitmasks or Pruefer sequences, and isomorphism by trying every permutation.
 Family counts asserted in tests come from these, never from memory.
 """
 
+from functools import lru_cache
 from itertools import permutations, product
 
 from dissoc.graph import Graph
@@ -103,3 +104,54 @@ def ir_unicyclic_stream(n: int):
                 if key not in seen:
                     seen.add(key)
                     yield g
+
+
+def _extend(h: Graph, mask: int) -> Graph:
+    """h plus one new vertex adjacent to the vertices of mask."""
+    from dissoc.graph import bits
+
+    adj = list(h.adj)
+    new = h.n
+    for u in bits(mask):
+        adj[u] |= 1 << new
+    adj.append(mask)
+    return Graph.from_adj(tuple(adj))
+
+
+def _extensions(n: int, masks):
+    """Each class on n-1 vertices plus one new vertex adjacent to each mask
+    of ``masks(class)``, in that order, keeping the first candidate of each
+    canonical form."""
+    from dissoc.canon import canonical_form
+
+    seen: set[bytes] = set()
+    for h in _graph_classes(n - 1):
+        for mask in masks(h):
+            g = _extend(h, mask)
+            key = canonical_form(g)
+            if key not in seen:
+                seen.add(key)
+                yield g
+
+
+@lru_cache(maxsize=None)
+def _graph_classes(n: int) -> tuple[Graph, ...]:
+    if n == 0:
+        return (Graph(0),)
+    return tuple(_extensions(n, lambda h: range(1 << h.n)))
+
+
+def _meets_every_component(h: Graph) -> list[int]:
+    """Neighbourhoods of a new vertex that join h into one component."""
+    comps = h.component_masks()
+    return [mask for mask in range(1 << h.n) if all(mask & c for c in comps)]
+
+
+def extension_stream(n: int, connected: bool):
+    """The generator without a deletion filter: every graph class on n-1
+    vertices, connected or not, extended by every mask (for connected graphs,
+    every mask that meets each component), keeping the first candidate of
+    each canonical form."""
+    if not connected:
+        return iter(_graph_classes(n))
+    return _extensions(n, _meets_every_component)

@@ -16,6 +16,7 @@ from dissoc.graph import Graph, complete_graph, path_graph, star_graph
 from dissoc.graph6 import Graph6Error, to_graph6
 from oracles import (
     all_labeled_trees,
+    extension_stream,
     ir_unicyclic_stream,
     labeled_class_count,
     labeled_tree_class_count,
@@ -110,6 +111,42 @@ def test_connected_stream_matches_labeled_dedup_oracle(n):
     assert len(got) == want
     for g in all_connected(n):
         assert g.is_connected()
+
+
+# n = 8 runs the unfiltered reference, about 20 s per family
+@pytest.mark.parametrize(
+    "n", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)]
+)
+def test_connected_stream_matches_extension_reference(n):
+    """Canonical deletion keeps exactly the classes that extending every
+    class on n-1 vertices keeps."""
+    got = canon_set(all_connected(n))
+    assert got == {canonical_form(g) for g in extension_stream(n, connected=True)}
+
+
+@pytest.mark.parametrize(
+    "n", [*range(0, 8), pytest.param(8, marks=pytest.mark.slow)]
+)
+def test_graph_stream_matches_extension_reference(n):
+    got = canon_set(all_graphs(n))
+    assert got == {canonical_form(g) for g in extension_stream(n, connected=False)}
+
+
+# OEIS A000088: graphs on n nodes
+A000088 = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
+
+# OEIS A001349: connected graphs on n nodes
+A001349 = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+
+
+@pytest.mark.parametrize("n", sorted(A000088))
+def test_graph_class_counts_match_a000088(n):
+    assert sum(1 for _ in all_graphs(n)) == A000088[n]
+
+
+@pytest.mark.parametrize("n", sorted(A001349))
+def test_connected_class_counts_match_a001349(n):
+    assert sum(1 for _ in all_connected(n)) == A001349[n]
 
 
 def test_streams_are_restartable_and_deterministic():
