@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .canon import canonical_form, peel, unicyclic_key
-from .graph import Graph, bits, component
+from .graph import Graph, bits
 from .graph6 import Graph6Error, from_graph6
 
 log = logging.getLogger(__name__)
@@ -162,20 +162,6 @@ def _extend(h: Graph, mask: int) -> Graph:
     return Graph.from_adj(tuple(adj))
 
 
-def _components_without(h: Graph) -> list[list[int]]:
-    """For each vertex u of h, the component masks of h - u."""
-    out = []
-    for u in range(h.n):
-        rest = h.vertex_set & ~(1 << u)
-        comps = []
-        while rest:
-            comp = component(h.adj, rest)
-            comps.append(comp)
-            rest ^= comp
-        out.append(comps)
-    return out
-
-
 def _extensions(n: int, connected: bool) -> Iterator[Graph]:
     """One graph per class on n vertices (connected ones only if asked), by
     canonical deletion.
@@ -204,7 +190,8 @@ def _extensions(n: int, connected: bool) -> Iterator[Graph]:
             above[d] = above[d + 1] | at[d + 1]
         # u may be deleted from a child iff the new vertex meets every
         # component of h - u; the new vertex itself never cuts the child
-        splits = _components_without(h) if connected else None
+        if connected:
+            splits = [h.component_masks(h.vertex_set & ~(1 << u)) for u in range(h.n)]
         for mask in range(1 if connected and h.n else 0, 1 << h.n):
             d = mask.bit_count()
             # the child's degrees are deg plus one on mask, and d for the new
