@@ -201,7 +201,7 @@ def _extensions(n: int, connected: bool) -> Iterator[Graph]:
                 higher = _deletable(splits, higher, mask)
             if higher:
                 continue
-            equal = at[d] & ~mask | (at[d - 1] & mask if d else 0)
+            equal = at[d] & ~mask | at[d - 1] & mask  # d = 0 only on mask 0
             if connected:
                 equal = _deletable(splits, equal, mask)
             g = _extend(h, mask)
