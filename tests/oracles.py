@@ -8,7 +8,7 @@ Family counts asserted in tests come from these, never from memory.
 from functools import lru_cache
 from itertools import permutations, product
 
-from dissoc.graph import Graph
+from dissoc.graph import Graph, bits
 
 
 def graph_from_triangle_bits(n: int, bits: int) -> Graph:
@@ -108,8 +108,6 @@ def ir_unicyclic_stream(n: int):
 
 def _extend(h: Graph, mask: int) -> Graph:
     """h plus one new vertex adjacent to the vertices of mask."""
-    from dissoc.graph import bits
-
     adj = list(h.adj)
     new = h.n
     for u in bits(mask):

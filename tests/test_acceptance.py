@@ -3,8 +3,9 @@ FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
 
 The connected-graph tiers for orders 2..9 are computed once in a session
 fixture and shared by the two sweeps that need them; that fixture dominates
-the runtime (the order-9 family alone has 261,080 classes, about five
-minutes).  Tests marked ``slow`` are the exhaustive order-14/order-9 sweeps.
+the runtime (the order-9 family alone has 261,080 classes, about two
+minutes to generate and count).  Tests marked ``slow`` are the exhaustive
+order-14/order-9 sweeps.
 
 Two orders carry a known tie, a second extremal graph beside the paper's
 constructions (documented in the README):
