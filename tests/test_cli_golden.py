@@ -85,6 +85,9 @@ UNFORMATTED = [
     ["gen", "--family", "connected", "--order", "4"],
     ["gen", "--family", "unicyclic", "--order", "8"],
     ["verify", "--theorem", "unicyclic-max-4.3", "--orders", "10..11"],
+    # the polynomial above the 24-vertex brute-force range
+    ["count", "--family", "path", "--order", "40", "--poly"],
+    ["count", "--family", "cycle", "--order", "64", "--poly", "--format", "json"],
 ]
 
 INVOCATIONS = [argv + ["--format", fmt] for argv in FORMATTED for fmt in FORMATS] + UNFORMATTED
