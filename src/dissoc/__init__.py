@@ -1,8 +1,8 @@
 """Exact dissociation-set counting and extremal verification for small graphs.
 
 A dissociation set is a vertex subset inducing a subgraph of maximum degree
-at most one.  The package counts them exactly (brute-force oracle plus a
-memoized branching engine), builds the extremal tree and unicyclic families,
+at most one.  The package counts them exactly, in total and by size, with
+one memoized branching engine, builds the extremal tree and unicyclic families,
 generates all non-isomorphic trees / unicyclic / connected / general graphs
 at small orders, and exhaustively verifies the extremal bounds over those
 families.
@@ -13,7 +13,6 @@ from .counting import (
     BranchPartition,
     branch_partition,
     count,
-    count_brute,
     count_cycle,
     count_path,
     count_star,

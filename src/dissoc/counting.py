@@ -1,13 +1,24 @@
 """Exact dissociation-set counting.
 
 A vertex subset is a dissociation set when it induces a subgraph of maximum
-degree at most one.  ``count_brute`` tests every subset (the oracle);
-``count`` runs the three-way branching recurrence
+degree at most one.  One engine counts them: the three-way branching
+recurrence at a pivot v,
 
-    d(G) = d(G-v) + d(G-N[v]) + sum over u in N(v) of d(G - (N[u] u N[v]))
+    D(G) = D(G-v) + x D(G-N[v]) + x^2 sum over u in N(v) of D(G - (N[u] u N[v]))
 
-with component multiplicativity and a memo keyed by the surviving-vertex
-bitmask of the original graph.  Closed forms for paths, stars, cycles and the
+(v excluded, v isolated in the set, v matched to a neighbour u), with
+component multiplicativity D(G u H) = D(G) D(H) and a memo keyed by the
+surviving-vertex bitmask of the original graph.  D(G) = sum_k d(G,k) x^k is
+the dissociation polynomial.
+
+The engine evaluates D at x = 2^w for a slot width w (Kronecker
+substitution): the isolated branch is shifted left by w, the matched branches
+by 2w, and the component product stays one int multiply.  With w = 0 the
+value is D(1) = d(G), the count.  With w = n + 1 every coefficient
+d(G[mask], k) <= C(|mask|, k) < 2^w fits its own w-bit slot, and since every
+term is non-negative no carry crosses a slot, so slicing the int into n + 1
+slots reads off d(G, 0..n).  The memo lives for one call, so values of
+different widths never meet.  Closed forms for paths, stars, cycles and the
 extremal tree/unicyclic maxima live here too.  All arithmetic is exact
 (Python ints); counts grow like 2^n.
 """
@@ -16,12 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graph import MAX_VERTICES, Graph, bits, component
-
-BRUTE_CAP = 24
-_CHUNK = 1 << 18
 
 
 def is_dissociation(g: Graph, mask: int) -> bool:
@@ -34,41 +40,6 @@ def is_dissociation(g: Graph, mask: int) -> bool:
     return True
 
 
-# -- oracle: test every subset ----------------------------------------------
-
-def _subset_sweep(g: Graph):
-    """Yield (masks, ok) chunks over all 2^n subsets, ok marking dissociation sets."""
-    n = g.n
-    adj = [np.int64(m) for m in g.adj]
-    for start in range(0, 1 << n, _CHUNK):
-        stop = min(start + _CHUNK, 1 << n)
-        masks = np.arange(start, stop, dtype=np.int64)
-        ok = np.ones(stop - start, dtype=bool)
-        for v in range(n):
-            inside = (masks >> v) & 1
-            deg = np.bitwise_count(masks & adj[v])
-            ok &= (inside == 0) | (deg <= 1)
-        yield masks, ok
-
-
-def count_brute(g: Graph) -> int:
-    """Number of dissociation sets by exhaustive subset testing (n <= 24)."""
-    if g.n > BRUTE_CAP:
-        raise ValueError(f"brute-force oracle capped at {BRUTE_CAP} vertices")
-    return sum(int(np.count_nonzero(ok)) for _, ok in _subset_sweep(g))
-
-
-def dissociation_polynomial(g: Graph) -> list[int]:
-    """Size-resolved counts [d(G,0), ..., d(G,n)]; the sum equals count(G)."""
-    if g.n > BRUTE_CAP:
-        raise ValueError(f"polynomial sweep capped at {BRUTE_CAP} vertices")
-    coeffs = np.zeros(g.n + 1, dtype=np.int64)
-    for masks, ok in _subset_sweep(g):
-        sizes = np.bitwise_count(masks[ok]).astype(np.int64)
-        coeffs += np.bincount(sizes, minlength=g.n + 1)
-    return [int(c) for c in coeffs]
-
-
 # -- branching engine --------------------------------------------------------
 
 def _branches(adj: tuple[int, ...], mask: int, v: int) -> list[int]:
@@ -77,12 +48,15 @@ def _branches(adj: tuple[int, ...], mask: int, v: int) -> list[int]:
     nbrs = adj[v] & mask
     closed = nbrs | (1 << v)
     out = [mask ^ (1 << v), mask & ~closed]
-    for u in bits(nbrs):
-        out.append(mask & ~(closed | adj[u] | (1 << u)))
+    while nbrs:  # bits() inlined, as in the pivot loop below
+        low = nbrs & -nbrs
+        out.append(mask & ~(closed | adj[low.bit_length() - 1] | low))
+        nbrs ^= low
     return out
 
 
-def _count_mask(adj: tuple[int, ...], mask: int, memo: dict[int, int]) -> int:
+def _count_mask(adj: tuple[int, ...], mask: int, memo: dict[int, int], w: int) -> int:
+    """D(G[mask]) at x = 2^w, given the adjacency masks of G."""
     if mask == 0:
         return 1
     cached = memo.get(mask)
@@ -91,17 +65,24 @@ def _count_mask(adj: tuple[int, ...], mask: int, memo: dict[int, int]) -> int:
 
     comp = component(adj, mask)
     if comp != mask:
-        result = _count_mask(adj, comp, memo) * _count_mask(adj, mask ^ comp, memo)
+        result = _count_mask(adj, comp, memo, w) * _count_mask(adj, mask ^ comp, memo, w)
     else:
-        # pivot on a maximum-degree vertex of the component
-        pivot, best = -1, -1
-        for v in bits(mask):
+        # pivot on a maximum-degree vertex of the component; bits() inlined,
+        # this loop runs once per memo miss
+        pivot, best, rest = -1, -1, mask
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
             d = (adj[v] & mask).bit_count()
             if d > best:
                 pivot, best = v, d
-        result = 0
-        for sub in _branches(adj, mask, pivot):
-            result += _count_mask(adj, sub, memo)
+            rest ^= low
+        excluded, isolated, *matched = _branches(adj, mask, pivot)
+        result = _count_mask(adj, excluded, memo, w) + (_count_mask(adj, isolated, memo, w) << w)
+        pairs = 0
+        for sub in matched:
+            pairs += _count_mask(adj, sub, memo, w)
+        result += pairs << (w + w)
 
     memo[mask] = result
     return result
@@ -111,7 +92,17 @@ def count(g: Graph) -> int:
     """Exact number of dissociation sets of g, empty set included."""
     if g.n > MAX_VERTICES:
         raise ValueError(f"counting engine capped at {MAX_VERTICES} vertices")
-    return _count_mask(g.adj, g.vertex_set, {})
+    return _count_mask(g.adj, g.vertex_set, {}, 0)
+
+
+def dissociation_polynomial(g: Graph) -> list[int]:
+    """Size-resolved counts [d(G,0), ..., d(G,n)]; the sum equals count(G)."""
+    if g.n > MAX_VERTICES:
+        raise ValueError(f"dissociation polynomial capped at {MAX_VERTICES} vertices")
+    w = g.n + 1
+    packed = _count_mask(g.adj, g.vertex_set, {}, w)
+    slot = (1 << w) - 1
+    return [(packed >> (k * w)) & slot for k in range(g.n + 1)]
 
 
 @dataclass(frozen=True)
@@ -133,7 +124,7 @@ def branch_partition(g: Graph, v: int) -> BranchPartition:
     g._check_vertex(v)
     memo: dict[int, int] = {}
     excluded, isolated, *matched = [
-        _count_mask(g.adj, sub, memo) for sub in _branches(g.adj, g.vertex_set, v)
+        _count_mask(g.adj, sub, memo, 0) for sub in _branches(g.adj, g.vertex_set, v)
     ]
     return BranchPartition(excluded, isolated, sum(matched))
 

@@ -1,14 +1,53 @@
 """Shared independent oracles for the test suite.
 
-Everything here is deliberately naive: labelled enumeration via triangle
-bitmasks or Pruefer sequences, and isomorphism by trying every permutation.
-Family counts asserted in tests come from these, never from memory.
+Everything here is deliberately naive: dissociation sets by testing every
+vertex subset, labelled enumeration via triangle bitmasks or Pruefer
+sequences, and isomorphism by trying every permutation.  Family counts
+asserted in tests come from these, never from memory.
 """
 
 from functools import lru_cache
 from itertools import permutations, product
 
+import numpy as np
+
 from dissoc.graph import Graph, bits
+
+BRUTE_CAP = 24
+_CHUNK = 1 << 18
+
+
+def _subset_sweep(g: Graph):
+    """Yield (masks, ok) chunks over all 2^n subsets, ok marking dissociation sets."""
+    n = g.n
+    adj = [np.int64(m) for m in g.adj]
+    for start in range(0, 1 << n, _CHUNK):
+        stop = min(start + _CHUNK, 1 << n)
+        masks = np.arange(start, stop, dtype=np.int64)
+        ok = np.ones(stop - start, dtype=bool)
+        for v in range(n):
+            inside = (masks >> v) & 1
+            deg = np.bitwise_count(masks & adj[v])
+            ok &= (inside == 0) | (deg <= 1)
+        yield masks, ok
+
+
+def count_brute(g: Graph) -> int:
+    """Number of dissociation sets by exhaustive subset testing (n <= 24)."""
+    if g.n > BRUTE_CAP:
+        raise ValueError(f"brute-force oracle capped at {BRUTE_CAP} vertices")
+    return sum(int(np.count_nonzero(ok)) for _, ok in _subset_sweep(g))
+
+
+def brute_polynomial(g: Graph) -> list[int]:
+    """[d(G,0), ..., d(G,n)] by exhaustive subset testing (n <= 24)."""
+    if g.n > BRUTE_CAP:
+        raise ValueError(f"polynomial sweep capped at {BRUTE_CAP} vertices")
+    coeffs = np.zeros(g.n + 1, dtype=np.int64)
+    for masks, ok in _subset_sweep(g):
+        sizes = np.bitwise_count(masks[ok]).astype(np.int64)
+        coeffs += np.bincount(sizes, minlength=g.n + 1)
+    return [int(c) for c in coeffs]
 
 
 def graph_from_triangle_bits(n: int, bits: int) -> Graph:
@@ -84,6 +123,12 @@ def random_graph(rng, n: int, p: float = 0.5) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return Graph(n, edges)
+
+
+def random_gnm(rng, n: int, m: int) -> Graph:
+    """A uniform graph on n vertices with exactly m edges."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, rng.sample(pairs, m))
 
 
 def ir_unicyclic_stream(n: int):

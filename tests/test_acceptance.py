@@ -29,7 +29,6 @@ from dissoc.canon import canonical_form
 from dissoc.counting import (
     branch_partition,
     count,
-    count_brute,
     count_cycle,
     count_path,
     max_tree_count,
@@ -55,7 +54,7 @@ from dissoc.graph import (
 from dissoc.graph6 import from_graph6, to_graph6
 from dissoc.reports import _TopTiers, question_scan, scan_family
 from dissoc.transforms import delete_edge_check
-from oracles import random_graph
+from oracles import count_brute, random_graph
 
 
 def check(criterion: str, ok: bool, detail: str = "") -> None:

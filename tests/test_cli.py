@@ -315,6 +315,25 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 0 and proc.stdout == "4\n"
 
 
+def test_package_runs_without_numpy():
+    # numpy is a test-only dependency: with every `import numpy` failing, the
+    # package still imports and the CLI still prints a 40-vertex polynomial
+    script = (
+        "import runpy, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import dissoc\n"
+        "sys.argv = ['dissoc', 'count', '--family', 'path', '--order', '40', '--poly']\n"
+        "runpy.run_module('dissoc', run_name='__main__')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    fields = proc.stdout.split()
+    assert fields[1] == "43844049029" and fields[2] == "poly"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

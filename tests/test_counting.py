@@ -9,7 +9,6 @@ from conftest import graphs
 from dissoc.counting import (
     branch_partition,
     count,
-    count_brute,
     count_cycle,
     count_path,
     count_star,
@@ -30,7 +29,7 @@ from dissoc.graph import (
     star_graph,
     vertex_mask,
 )
-from oracles import random_graph
+from oracles import brute_polynomial, count_brute, random_gnm, random_graph
 
 
 def test_is_dissociation_examples():
@@ -49,6 +48,8 @@ def test_count_brute_examples():
     assert count_brute(path_graph(9)) == 274
     with pytest.raises(ValueError):
         count_brute(Graph(25))
+    with pytest.raises(ValueError):
+        brute_polynomial(Graph(25))
 
 
 def test_count_examples():
@@ -96,6 +97,79 @@ def test_polynomial_examples():
     assert dissociation_polynomial(cycle_graph(4)) == [1, 4, 6, 0, 0]
     two_k2 = disjoint_union([complete_graph(2), complete_graph(2)])
     assert dissociation_polynomial(two_k2) == [1, 4, 6, 4, 1]
+
+
+@given(graphs(max_n=14))
+def test_polynomial_matches_brute_oracle(g):
+    assert dissociation_polynomial(g) == brute_polynomial(g)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_polynomial_matches_brute_oracle_at_22_vertices(seed):
+    g = random_gnm(random.Random(seed), 22, 46)
+    assert dissociation_polynomial(g) == brute_polynomial(g)
+
+
+def _poly_sum(length, *terms):
+    """Sum of c * x^s * p over the (c, s, p) terms, as `length` coefficients."""
+    out = [0] * length
+    for c, s, p in terms:
+        for k, a in enumerate(p):
+            out[k + s] += c * a
+    return out
+
+
+def _path_polys(n_max):
+    """D(P_0), ..., D(P_n_max) by branching at an end vertex v: excluded,
+    isolated (its neighbour out) or matched (its neighbour's other neighbour out):
+    P_n = P_{n-1} + x P_{n-2} + x^2 P_{n-3}."""
+    polys = [[1], [1, 1], [1, 2, 1]]
+    for n in range(3, n_max + 1):
+        polys.append(
+            _poly_sum(n + 1, (1, 0, polys[n - 1]), (1, 1, polys[n - 2]), (1, 2, polys[n - 3]))
+        )
+    return polys
+
+
+PATH_POLYS = _path_polys(64)
+
+
+def _cycle_poly(n):
+    """D(C_n) by branching at v: C_n = P_{n-1} + x P_{n-3} + 2 x^2 P_{n-4}."""
+    if n == 3:
+        return [1, 3, 3, 0]
+    p = PATH_POLYS
+    return _poly_sum(n + 1, (1, 0, p[n - 1]), (1, 1, p[n - 3]), (2, 2, p[n - 4]))
+
+
+def _star_poly(n):
+    """D(K_{1,n-1}): leaf subsets, plus the centre alone or with one leaf."""
+    return [
+        math.comb(n - 1, k) + (k == 1) + (n - 1) * (k == 2) for k in range(n + 1)
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_polynomial_closed_forms_up_to_64(n):
+    assert dissociation_polynomial(path_graph(n)) == PATH_POLYS[n]
+    assert dissociation_polynomial(star_graph(n)) == _star_poly(n)
+    if n >= 3:
+        assert dissociation_polynomial(cycle_graph(n)) == _cycle_poly(n)
+
+
+def test_polynomial_sums_to_count_at_64_vertices():
+    rng = random.Random(64)
+    for _ in range(20):
+        g = random_gnm(rng, 64, 60)
+        assert sum(dissociation_polynomial(g)) == count(g)
+
+
+def test_engine_caps_at_64_vertices():
+    big = Graph.from_adj((0,) * 65)
+    with pytest.raises(ValueError, match="capped at 64"):
+        dissociation_polynomial(big)
+    with pytest.raises(ValueError, match="capped at 64"):
+        count(big)
 
 
 @given(graphs(max_n=9))
