@@ -76,6 +76,9 @@ UNFORMATTED = [
     ["construct", "--family", "complete-multipartite", "--parts", "2,2,1"],
     ["construct", "--family", "extremal-unicyclic", "--order", "8"],
     ["construct", "--family", "star", "--order", "5"],
+    # a lone root, and a lone edge whose halves are isomorphic
+    ["gen", "--family", "trees", "--order", "1"],
+    ["gen", "--family", "trees", "--order", "2"],
     ["gen", "--family", "trees", "--order", "4"],
     ["gen", "--family", "trees", "--order", "10"],
     ["gen", "--family", "connected", "--order", "6"],
