@@ -30,7 +30,6 @@ from .families import (
     star_join,
 )
 from .generate import (
-    FamilySpec,
     all_connected,
     all_graphs,
     all_trees,

@@ -22,7 +22,7 @@ from .families import (
     extremal_trees,
     extremal_unicyclic,
 )
-from .generate import FAMILY_CAPS, FamilySpec, family_stream, read_graph6_file
+from .generate import FAMILY_CAPS, family_stream, read_graph6_file
 from .graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from .graph6 import from_graph6, to_graph6
 from .reports import (
@@ -327,7 +327,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    for g in family_stream(FamilySpec(args.family, args.order)):
+    for g in family_stream(args.family, args.order):
         print(to_graph6(g))
     return 0
 

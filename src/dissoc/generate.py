@@ -1,27 +1,30 @@
 """Exhaustive non-isomorphic generation of small graph families.
 
-Free trees come from the rooted level-sequence successor generator filtered
-to centre-canonical rootings, so each isomorphism class appears exactly once
-without a dedup set.  Unicyclic graphs are trees plus one non-edge,
-deduplicated by the cycle-of-rooted-trees key ``unicyclic_key`` (leaf peeling
-and AHU codes, no search).  Connected and general graphs grow by canonical
-deletion (McKay, "Isomorph-free exhaustive generation", 1998): each class of
-the previous order in the same family gets one new vertex per neighbourhood
-mask, a cheap vertex invariant rejects most children whose new vertex is not
-the one it would delete, and canonical form dedups the few survivors.  Only
-the parent order is cached; the requested order streams.  Streams are
-deterministic and restartable.
+Free trees come from the successor of Beyer & Hedetniemi ("Constant time
+generation of rooted trees", 1980), which emits the canonical level sequence
+of every rooted tree.  A sequence is kept when its root is a centre and, for
+a bicentral tree, when it is the larger of the two centre rootings; both
+conditions (Wright, Richmond, Odlyzko & McKay, 1986) are read off the
+sequence, so each isomorphism class appears exactly once, without a dedup
+set, and only kept sequences become a ``Graph``.  Unicyclic graphs are trees
+plus one non-edge, deduplicated by the cycle-of-rooted-trees key
+``unicyclic_key`` (leaf peeling and AHU codes, no search).  Connected and
+general graphs grow by canonical deletion (McKay, "Isomorph-free exhaustive
+generation", 1998): each class of the previous order in the same family gets
+one new vertex per neighbourhood mask, a cheap vertex invariant rejects most
+children whose new vertex is not the one it would delete, and canonical form
+dedups the few survivors.  Only the parent order is cached; the requested
+order streams.  Streams are deterministic and restartable.
 graph6 ingestion covers externally generated families beyond the caps.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .canon import canonical_form, peel, unicyclic_key
+from .canon import canonical_form, unicyclic_key
 from .graph import Graph, bits
 from .graph6 import Graph6Error, from_graph6
 
@@ -35,42 +38,36 @@ FAMILY_CAPS = {
 }
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A generable family at a fixed order."""
-
-    family: str
-    order: int
-
-    def validate(self) -> None:
-        if self.family not in FAMILY_CAPS:
-            raise ValueError(f"unknown family {self.family!r}")
-        lo, hi = FAMILY_CAPS[self.family]
-        if not lo <= self.order <= hi:
-            raise ValueError(
-                f"family {self.family!r} supports orders {lo}..{hi}, got {self.order}"
-            )
+def _check_order(family: str, order: int) -> None:
+    if family not in FAMILY_CAPS:
+        raise ValueError(f"unknown family {family!r}")
+    lo, hi = FAMILY_CAPS[family]
+    if not lo <= order <= hi:
+        raise ValueError(f"family {family!r} supports orders {lo}..{hi}, got {order}")
 
 
-def family_stream(spec: FamilySpec) -> Iterator[Graph]:
-    spec.validate()
+def family_stream(family: str, order: int) -> Iterator[Graph]:
+    """The generated family at one order; a bad family or order raises here,
+    before the first graph is asked for."""
+    _check_order(family, order)
     gen = {
         "trees": all_trees,
         "unicyclic": all_unicyclic,
         "connected": all_connected,
         "all": all_graphs,
-    }[spec.family]
-    return gen(spec.order)
+    }[family]
+    return gen(order)
 
 
 # -- free trees --------------------------------------------------------------
 
-def _rooted_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
+def _rooted_level_sequences(n: int) -> Iterator[list[int]]:
     """Canonical level sequences of rooted trees on n vertices, root level 0,
-    in decreasing lexicographic order (successor method)."""
+    in decreasing lexicographic order (successor method); each is a fresh
+    list."""
     levels = list(range(n))
     while True:
-        yield tuple(levels)
+        yield levels[:]
         p = -1
         for i in range(n - 1, 0, -1):
             if levels[i] >= 2:
@@ -85,7 +82,7 @@ def _rooted_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
             levels[i] = levels[i - (p - q)]
 
 
-def _tree_from_levels(levels: tuple[int, ...]) -> Graph:
+def _tree_from_levels(levels: list[int]) -> Graph:
     edges = []
     last_at_level = {0: 0}
     for i in range(1, len(levels)):
@@ -94,36 +91,26 @@ def _tree_from_levels(levels: tuple[int, ...]) -> Graph:
     return Graph(len(levels), edges)
 
 
-def _rooted_canonical_levels(adj: tuple[int, ...], root: int) -> tuple[int, ...]:
-    """Lexicographically largest level sequence of (tree, root): children in
-    descending subtree-sequence order."""
-
-    def sub(v: int, parent: int, depth: int) -> tuple[int, ...]:
-        subs = sorted(
-            (sub(u, v, depth + 1) for u in bits(adj[v]) if u != parent),
-            reverse=True,
-        )
-        out = [depth]
-        for s in subs:
-            out.extend(s)
-        return tuple(out)
-
-    return sub(root, -1, 0)
-
-
 def all_trees(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of free trees on n vertices."""
-    FamilySpec("trees", n).validate()
+    _check_order("trees", n)
     for levels in _rooted_level_sequences(n):
-        g = _tree_from_levels(levels)
-        centers = peel(g.adj, g.vertex_set, 2)
-        if not centers & 1:
-            continue
-        if centers == 1:
-            # the generator already emits the canonical rooting at the centre
-            yield g
-        elif levels == max(_rooted_canonical_levels(g.adj, c) for c in bits(centers)):
-            yield g
+        # canonical order puts the root's tallest subtree first, at 1..split-1;
+        # if the others are more than one level lower, the root is no centre
+        split = levels.index(1, 2) if levels.count(1) > 1 else n
+        height = max(levels)
+        rest = max(levels[split:], default=0)
+        if rest == height:
+            # two tallest subtrees: the root is the only centre
+            yield _tree_from_levels(levels)
+        elif rest == height - 1:
+            # the root and its first child are the centres; keep the larger
+            # rooting.  Rooted at the child, the old root's subtree is the
+            # tallest, so it comes first, then the child's own subtrees.
+            other = [0, 1] + [l + 1 for l in levels[split:]]
+            other += [l - 1 for l in levels[2:split]]
+            if levels >= other:
+                yield _tree_from_levels(levels)
 
 
 # -- unicyclic graphs --------------------------------------------------------
@@ -132,7 +119,7 @@ def all_unicyclic(n: int) -> Iterator[Graph]:
     """One representative per class of connected graphs with exactly one
     cycle: every tree of the order plus each non-edge ``u < v``, in that
     order, keeping the first candidate of each class by ``unicyclic_key``."""
-    FamilySpec("unicyclic", n).validate()
+    _check_order("unicyclic", n)
     seen: set[bytes] = set()
     for tree in all_trees(n):
         for u in range(n):
@@ -238,7 +225,7 @@ def _classes(n: int, connected: bool) -> tuple[Graph, ...]:
 
 def all_graphs(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of simple graphs on n vertices."""
-    FamilySpec("all", n).validate()
+    _check_order("all", n)
     yield from _extensions(n, False)
 
 
@@ -248,7 +235,7 @@ def all_connected(n: int) -> Iterator[Graph]:
     Extends the connected classes on n-1 vertices: deleting a non-cut vertex,
     which every connected graph has, leaves one of them.
     """
-    FamilySpec("connected", n).validate()
+    _check_order("connected", n)
     yield from _extensions(n, True)
 
 

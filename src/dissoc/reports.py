@@ -34,7 +34,7 @@ from .families import (
     is_union_of_vertices_and_edges,
     star_join,
 )
-from .generate import FamilySpec, all_connected, all_graphs, family_stream
+from .generate import all_connected, all_graphs, family_stream
 from .graph import Graph
 from .graph6 import from_graph6, to_graph6
 from .transforms import delete_edge_check, find_quasi_pendants, quasi_pendant_transform
@@ -164,7 +164,7 @@ def scan_family(
     """
     start = time.monotonic()
     if graphs is None:
-        graphs = family_stream(FamilySpec(family, order))
+        graphs = family_stream(family, order)
     total, tiers = sweep(graphs, max(top, 2), jobs, f"scan {family} n={order}")
     if total == 0:
         raise ValueError("nothing to scan: empty graph stream")
@@ -287,7 +287,7 @@ def _verify_family_max(
 ) -> None:
     for n in orders:
         total, (top,) = sweep(
-            family_stream(FamilySpec(family, n)), 1, jobs, f"scan {family} n={n}"
+            family_stream(family, n), 1, jobs, f"scan {family} n={n}"
         )
         want_max = expected_max(n)
         want = {canonical_form(g) for g in expected_graphs(n)}
@@ -403,7 +403,7 @@ def question_scan(
     out = []
     for n in order_list:
         stream = chain.from_iterable(
-            family_stream(FamilySpec(fam, n)) for fam in ("trees", "unicyclic")
+            family_stream(fam, n) for fam in ("trees", "unicyclic")
         )
         _, tiers = sweep(stream, 2, jobs, f"question n={n} trees+unicyclic")
         second = tiers[1] if len(tiers) > 1 else Tier()

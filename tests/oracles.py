@@ -131,6 +131,45 @@ def random_gnm(rng, n: int, m: int) -> Graph:
     return Graph(n, rng.sample(pairs, m))
 
 
+def _rooted_canonical_levels(adj: tuple[int, ...], root: int) -> tuple[int, ...]:
+    """Lexicographically largest level sequence of (tree, root): children in
+    descending subtree-sequence order."""
+
+    def sub(v: int, parent: int, depth: int) -> tuple[int, ...]:
+        subs = sorted(
+            (sub(u, v, depth + 1) for u in bits(adj[v]) if u != parent),
+            reverse=True,
+        )
+        out = [depth]
+        for s in subs:
+            out.extend(s)
+        return tuple(out)
+
+    return sub(root, -1, 0)
+
+
+def peeled_tree_stream(n: int):
+    """``all_trees``'s rooted level sequences in its order, keeping those
+    whose root is a centre found by leaf peeling on the built ``Graph`` and,
+    for two centres, whose sequence is the larger of the two re-derived
+    centre rootings."""
+    from dissoc.canon import peel
+    from dissoc.generate import _rooted_level_sequences, _tree_from_levels
+
+    for levels in _rooted_level_sequences(n):
+        g = _tree_from_levels(levels)
+        centers = peel(g.adj, g.vertex_set, 2)
+        if not centers & 1:
+            continue
+        if centers == 1:
+            # the generator already emits the canonical rooting at the centre
+            yield g
+        elif tuple(levels) == max(
+            _rooted_canonical_levels(g.adj, c) for c in bits(centers)
+        ):
+            yield g
+
+
 def ir_unicyclic_stream(n: int):
     """``all_unicyclic``'s candidates in its order (trees in stream order,
     then each non-edge u < v), keeping the first of each class by the IR

@@ -4,7 +4,6 @@ import pytest
 
 from dissoc.canon import canonical_form
 from dissoc.generate import (
-    FamilySpec,
     all_connected,
     all_graphs,
     all_trees,
@@ -20,6 +19,7 @@ from oracles import (
     ir_unicyclic_stream,
     labeled_class_count,
     labeled_tree_class_count,
+    peeled_tree_stream,
 )
 
 
@@ -60,6 +60,32 @@ def test_tree_stream_structure_and_determinism():
     assert first == second
     for t in first:
         assert t.is_tree() and t.n == 9
+
+
+# n = 16 walks 235,381 rooted sequences through the reference (about 8 s)
+@pytest.mark.parametrize(
+    "n", [*range(1, 16), pytest.param(16, marks=pytest.mark.slow)]
+)
+def test_tree_stream_matches_peeled_reference(n):
+    """Reading the centres off the level sequence keeps exactly the
+    sequences that peeling each built tree keeps, in the same order."""
+    got = [to_graph6(t) for t in all_trees(n)]
+    assert got == [to_graph6(t) for t in peeled_tree_stream(n)]
+
+
+# OEIS A000055: trees on n nodes
+A000055 = {
+    1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235,
+    12: 551, 13: 1301, 14: 3159, 15: 7741, 16: 19320, 17: 48629, 18: 123867,
+}
+
+
+@pytest.mark.parametrize(
+    "n",
+    [*range(1, 17), *(pytest.param(n, marks=pytest.mark.slow) for n in (17, 18))],
+)
+def test_tree_class_counts_match_a000055(n):
+    assert sum(1 for _ in all_trees(n)) == A000055[n]
 
 
 # -- unicyclic -----------------------------------------------------------------
@@ -173,14 +199,14 @@ def test_streams_are_restartable_and_deterministic():
 )
 def test_family_caps_rejected(family, order):
     with pytest.raises(ValueError):
-        FamilySpec(family, order).validate()
+        family_stream(family, order)
 
 
 def test_family_stream_dispatch():
-    (t,) = family_stream(FamilySpec("trees", 3))
+    (t,) = family_stream("trees", 3)
     assert canonical_form(t) == canonical_form(path_graph(3))
     with pytest.raises(ValueError):
-        family_stream(FamilySpec("towers", 3))
+        family_stream("towers", 3)
 
 
 # -- graph6 streams -----------------------------------------------------------------
