@@ -88,6 +88,10 @@ UNFORMATTED = [
     ["gen", "--family", "connected", "--order", "4"],
     ["gen", "--family", "unicyclic", "--order", "8"],
     ["verify", "--theorem", "unicyclic-max-4.3", "--orders", "10..11"],
+    # orders at which a claim has no case to check
+    ["verify", "--theorem", "path-cycle-4.1", "--orders", "1..3"],
+    ["verify", "--theorem", "lemma-2.8", "--orders", "1..2"],
+    ["verify", "--theorem", "lemma-2.5", "--orders", "0..1"],
     # the polynomial above the 24-vertex brute-force range
     ["count", "--family", "path", "--order", "40", "--poly"],
     ["count", "--family", "cycle", "--order", "64", "--poly", "--format", "json"],
