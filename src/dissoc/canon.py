@@ -4,7 +4,7 @@ Two encoders, dispatched on an isomorphism invariant so their outputs can
 never collide:
 
 * forests get a ``T``-tagged AHU parenthesis code rooted at tree centres
-  (linear time, used heavily by the tree generators);
+  (linear time, no search);
 * everything else gets a ``G``-tagged adjacency code from an
   individualization-refinement search with automorphism pruning, picking the
   lexicographically largest relabelled adjacency over the search leaves.

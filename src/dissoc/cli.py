@@ -36,15 +36,17 @@ from .reports import (
 )
 from .transforms import spanning_tree_chain
 
-CONSTRUCTORS = (
-    "path",
-    "cycle",
-    "star",
-    "complete",
-    "complete-multipartite",
-    "extremal-tree",
-    "extremal-unicyclic",
-)
+# the named constructors, each by order (extremal-tree may give two graphs);
+# complete-multipartite is built from --parts instead
+CONSTRUCTORS = {
+    "path": lambda n: [path_graph(n)],
+    "cycle": lambda n: [cycle_graph(n)],
+    "star": lambda n: [star_graph(n)],
+    "complete": lambda n: [complete_graph(n)],
+    "complete-multipartite": None,
+    "extremal-tree": extremal_trees,
+    "extremal-unicyclic": lambda n: [extremal_unicyclic(n)],
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,23 +76,15 @@ def _positive_int(text: str) -> int:
 
 def construct_graphs(family: str, order: int | None, parts: str | None) -> list[Graph]:
     """Build the named family members (extremal-tree may return two)."""
+    if family not in CONSTRUCTORS:
+        raise ValueError(f"unknown constructor family {family!r}")
     if family == "complete-multipartite":
         if not parts:
             raise ValueError("complete-multipartite needs --parts, e.g. --parts 2,2,1")
         return [complete_multipartite([int(p) for p in parts.split(",")])]
     if order is None:
         raise ValueError(f"--family {family} needs --order")
-    builders = {
-        "path": lambda n: [path_graph(n)],
-        "cycle": lambda n: [cycle_graph(n)],
-        "star": lambda n: [star_graph(n)],
-        "complete": lambda n: [complete_graph(n)],
-        "extremal-tree": extremal_trees,
-        "extremal-unicyclic": lambda n: [extremal_unicyclic(n)],
-    }
-    if family not in builders:
-        raise ValueError(f"unknown constructor family {family!r}")
-    return list(builders[family](order))
+    return list(CONSTRUCTORS[family](order))
 
 
 def _input_graphs(args) -> Iterator[Graph]:
@@ -390,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument(
         "--no-cross-check", action="store_true",
-        help="skip the exhaustive connected-graph cross-check at orders <= 9",
+        help="skip the exhaustive connected-graph cross-check"
+        f" at orders <= {FAMILY_CAPS['connected'][1]}",
     )
     _add_format(p)
     p.set_defaults(func=cmd_question)

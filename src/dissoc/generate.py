@@ -8,13 +8,14 @@ conditions (Wright, Richmond, Odlyzko & McKay, 1986) are read off the
 sequence, so each isomorphism class appears exactly once, without a dedup
 set, and only kept sequences become a ``Graph``.  Unicyclic graphs are trees
 plus one non-edge, deduplicated by the cycle-of-rooted-trees key
-``unicyclic_key`` (leaf peeling and AHU codes, no search).  Connected and
-general graphs grow by canonical deletion (McKay, "Isomorph-free exhaustive
-generation", 1998): each class of the previous order in the same family gets
-one new vertex per neighbourhood mask, a cheap vertex invariant rejects most
-children whose new vertex is not the one it would delete, and canonical form
-dedups the few survivors.  Only the parent order is cached; the requested
-order streams.  Streams are deterministic and restartable.
+``unicyclic_key`` (leaf peeling and AHU codes, no search).  General graphs
+grow by canonical deletion (McKay, "Isomorph-free exhaustive generation",
+1998): each class of the previous order gets one new vertex per
+neighbourhood mask, a cheap vertex invariant rejects most children whose new
+vertex is not the one it would delete, and canonical form dedups the few
+survivors; connected graphs are the connected members of that stream.  Every
+lower order is cached; the requested order streams.  Streams are
+deterministic and restartable.
 graph6 ingestion covers externally generated families beyond the caps.
 """
 
@@ -149,25 +150,21 @@ def _extend(h: Graph, mask: int) -> Graph:
     return Graph.from_adj(tuple(adj))
 
 
-def _extensions(n: int, connected: bool) -> Iterator[Graph]:
-    """One graph per class on n vertices (connected ones only if asked), by
-    canonical deletion.
+def _extensions(n: int) -> Iterator[Graph]:
+    """One graph per class on n vertices, by canonical deletion.
 
-    Each class on n-1 vertices (of the same family) gets a new vertex
-    adjacent to each mask, in increasing order; a connected child needs a
-    non-empty mask unless its parent is empty.  A candidate survives only
-    if no vertex it may delete has a larger key (degree, sorted neighbour
-    degrees) than its new vertex: for connected graphs those are the
-    non-cut vertices, for all graphs every vertex.  The first survivor of
-    each canonical form is kept.  Every class survives: removing a top-key
-    deletable vertex x leaves a parent class, and some mask rebuilds the
-    class from it with x as the new vertex.
+    Each class on n-1 vertices gets a new vertex adjacent to each mask, in
+    increasing order.  A candidate survives only if no vertex has a larger
+    key (degree, sorted neighbour degrees) than its new vertex.  The first
+    survivor of each canonical form is kept.  Every class survives: removing
+    a top-key vertex x leaves a class on n-1 vertices, and some mask rebuilds
+    the class from it with x as the new vertex.
     """
     if n == 0:
         yield Graph(0)
         return
     seen: set[bytes] = set()
-    for h in _classes(n - 1, connected):
+    for h in _classes(n - 1):
         deg = [m.bit_count() for m in h.adj]
         at = [0] * n  # at[d]: vertices of h of degree d
         for u, du in enumerate(deg):
@@ -175,22 +172,13 @@ def _extensions(n: int, connected: bool) -> Iterator[Graph]:
         above = [0] * n  # above[d]: vertices of h of degree above d
         for d in range(n - 2, -1, -1):
             above[d] = above[d + 1] | at[d + 1]
-        # u may be deleted from a child iff the new vertex meets every
-        # component of h - u; the new vertex itself never cuts the child
-        if connected:
-            splits = [h.component_masks(h.vertex_set & ~(1 << u)) for u in range(h.n)]
-        for mask in range(1 if connected and h.n else 0, 1 << h.n):
+        for mask in range(1 << h.n):
             d = mask.bit_count()
             # the child's degrees are deg plus one on mask, and d for the new
             # vertex: these vertices have a larger or an equal degree
-            higher = above[d] | at[d] & mask
-            if connected:
-                higher = _deletable(splits, higher, mask)
-            if higher:
+            if above[d] | at[d] & mask:
                 continue
             equal = at[d] & ~mask | at[d - 1] & mask  # d = 0 only on mask 0
-            if connected:
-                equal = _deletable(splits, equal, mask)
             g = _extend(h, mask)
             if equal and _outranked(g.adj, equal):
                 continue
@@ -198,15 +186,6 @@ def _extensions(n: int, connected: bool) -> Iterator[Graph]:
             if key not in seen:
                 seen.add(key)
                 yield g
-
-
-def _deletable(splits: list[list[int]], vertices: int, mask: int) -> int:
-    """The vertices whose deletion leaves the child of mask connected."""
-    out = 0
-    for u in bits(vertices):
-        if all(comp & mask for comp in splits[u]):
-            out |= 1 << u
-    return out
 
 
 def _outranked(adj: tuple[int, ...], rivals: int) -> bool:
@@ -219,24 +198,23 @@ def _outranked(adj: tuple[int, ...], rivals: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _classes(n: int, connected: bool) -> tuple[Graph, ...]:
-    return tuple(_extensions(n, connected))
+def _classes(n: int) -> tuple[Graph, ...]:
+    return tuple(_extensions(n))
 
 
 def all_graphs(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of simple graphs on n vertices."""
     _check_order("all", n)
-    yield from _extensions(n, False)
+    yield from _extensions(n)
 
 
 def all_connected(n: int) -> Iterator[Graph]:
-    """One representative per isomorphism class of connected graphs.
-
-    Extends the connected classes on n-1 vertices: deleting a non-cut vertex,
-    which every connected graph has, leaves one of them.
-    """
+    """One representative per isomorphism class of connected graphs: the
+    connected members of the all-graphs stream, in its order."""
     _check_order("connected", n)
-    yield from _extensions(n, True)
+    for g in _extensions(n):
+        if g.is_connected():
+            yield g
 
 
 # -- graph6 streams -----------------------------------------------------------

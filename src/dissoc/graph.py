@@ -172,11 +172,10 @@ class Graph:
 
     # -- connectivity --------------------------------------------------
 
-    def component_masks(self, within: int | None = None) -> list[int]:
-        """Masks of the connected components of G, or of G[within], ordered
-        by smallest vertex."""
+    def component_masks(self) -> list[int]:
+        """Masks of the connected components, ordered by smallest vertex."""
         out = []
-        rest = self.vertex_set if within is None else within
+        rest = self.vertex_set
         while rest:
             comp = component(self.adj, rest)
             out.append(comp)

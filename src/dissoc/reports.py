@@ -34,7 +34,7 @@ from .families import (
     is_union_of_vertices_and_edges,
     star_join,
 )
-from .generate import all_connected, all_graphs, family_stream
+from .generate import FAMILY_CAPS, all_connected, all_graphs, family_stream
 from .graph import Graph
 from .graph6 import from_graph6, to_graph6
 from .transforms import delete_edge_check, find_quasi_pendants, quasi_pendant_transform
@@ -198,7 +198,13 @@ class TheoremVerdict:
     def verified(self) -> bool:
         return all(s == VERIFIED for s in self.status.values())
 
-    def record(self, order: int, ok: bool, detail: str = "", bad: list[str] | None = None):
+    def record(
+        self, order: int, ok: bool, cases: int, detail: str = "", bad: list[str] | None = None
+    ):
+        """Record one order's outcome over ``cases`` checked graphs, edges,
+        sites or inequalities; an order with no case raises ValueError."""
+        if not cases:
+            raise ValueError(f"{self.theorem} has nothing to check at order {order}")
         self.status[order] = VERIFIED if ok else VIOLATED
         if detail:
             self.details[order] = detail
@@ -224,7 +230,9 @@ def _verify_bounds(verdict: TheoremVerdict, orders: list[int], jobs: int) -> Non
         low = (n * n + n + 2) // 2
         high = subset_bound(n)
         bad = []
+        graphs = 0
         for g, c, _ in counted_stream(all_graphs(n), jobs=jobs):
+            graphs += 1
             ok = (
                 low <= c <= high
                 and (c == low) == is_complete_multipartite_small_parts(g)
@@ -232,7 +240,7 @@ def _verify_bounds(verdict: TheoremVerdict, orders: list[int], jobs: int) -> Non
             )
             if not ok:
                 bad.append(to_graph6(g))
-        verdict.record(n, not bad, f"range [{low}, {high}]", bad)
+        verdict.record(n, not bad, graphs, f"range [{low}, {high}]", bad)
 
 
 def _note_single_process(verdict: TheoremVerdict, jobs: int) -> None:
@@ -248,14 +256,16 @@ def _verify_edge_deletion(verdict: TheoremVerdict, orders: list[int], jobs: int)
     _note_single_process(verdict, jobs)
     for n in orders:
         bad = []
+        edges = 0
         for g in all_graphs(n):
             for u, v in g.edges():
+                edges += 1
                 rec = delete_edge_check(g, u, v)
                 equal_expected = rec.twins == "true-twin"
                 if rec.after < rec.before or (rec.relation == "equal") != equal_expected:
                     bad.append(to_graph6(g))
                     break
-        verdict.record(n, not bad, "all edges checked", bad)
+        verdict.record(n, not bad, edges, "all edges checked", bad)
 
 
 def _verify_quasi_pendant(verdict: TheoremVerdict, orders: list[int], jobs: int) -> None:
@@ -274,7 +284,7 @@ def _verify_quasi_pendant(verdict: TheoremVerdict, orders: list[int], jobs: int)
                 ok = before == after if degenerate else before < after
                 if not ok:
                     bad.append(to_graph6(g))
-        verdict.record(n, not bad, f"{sites} rewiring sites", bad)
+        verdict.record(n, not bad, sites, f"{sites} rewiring sites", bad)
 
 
 def _verify_family_max(
@@ -296,6 +306,7 @@ def _verify_family_max(
         verdict.record(
             n,
             ok,
+            total,
             f"max {top.count} over {total} graphs"
             f" (expected {want_max}, {len(want)} extremal)",
             [] if ok else (unexpected or list(top.graph6)),
@@ -312,8 +323,7 @@ def _verify_path_cycle(verdict: TheoremVerdict, orders: list[int], jobs: int) ->
             checks.append(count_cycle(n) < max_unicyclic_count(n))
         if n >= 9:
             checks.append(count_path(n) < max_unicyclic_count(n))
-        ok = all(checks)
-        verdict.record(n, ok, f"{len(checks)} inequalities")
+        verdict.record(n, all(checks), len(checks), f"{len(checks)} inequalities")
 
 
 THEOREMS = {
@@ -396,7 +406,7 @@ def question_scan(
 ) -> list[QuestionReport]:
     """Second-largest tier among trees U unicyclic per order, compared to the
     unicyclic maximum; exhaustively cross-checked against all connected
-    graphs where that family is generable (order <= 9)."""
+    graphs where that family is generable (up to its ``FAMILY_CAPS`` order)."""
     order_list = sorted(orders)
     if not order_list:
         raise ValueError("no orders to scan")
@@ -410,7 +420,7 @@ def question_scan(
         h_n = max_unicyclic_count(n)
         candidates = _tier(None, ((to_graph6(g), g) for g in _second_tier_candidates(n)))
 
-        checked = cross_check and n <= 9
+        checked = cross_check and n <= FAMILY_CAPS["connected"][1]
         conn = Tier()
         if checked:
             label = f"question n={n} connected cross-check"

@@ -214,6 +214,12 @@ def test_verify_path_cycle_verified(capsys):
     assert verdict["counterexamples"] == {}
 
 
+def test_verify_order_with_nothing_to_check_exits_1(capsys):
+    code, out, err = run(capsys, ["verify", "--theorem", "path-cycle-4.1", "--orders", "1..3"])
+    assert code == 1 and out == ""
+    assert "path-cycle-4.1 has nothing to check at order 1" in err
+
+
 def test_verify_edge_deletion_small(capsys):
     code, out, _ = run(
         capsys, ["verify", "--theorem", "lemma-2.5", "--orders", "2..5"]

@@ -99,11 +99,6 @@ def test_components_partition_vertices(g):
         union |= m
     assert union == g.vertex_set
     assert sum(c.n for c in g.components()) == g.n
-    # within a vertex set: the components of the induced subgraph, in place
-    for v in range(g.n):
-        rest = g.vertex_set & ~(1 << v)
-        assert len(g.component_masks(rest)) == len(g.delete_vertices(1 << v).component_masks())
-        assert sum(m.bit_count() for m in g.component_masks(rest)) == g.n - 1
 
 
 @given(graphs(min_n=1, max_n=7))

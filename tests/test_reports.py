@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from dissoc.counting import count, max_tree_count
@@ -84,6 +86,41 @@ def test_verdicts_verified_at_small_orders(theorem, orders):
     verdict = verify_theorem(theorem, orders)
     assert verdict.verified, verdict.to_dict()
     assert verdict.counterexamples == {}
+
+
+# the lowest order at which each claim has a case to check
+FIRST_CASE = {
+    "bounds-2.1": 0,
+    "lemma-2.5": 2,
+    "lemma-2.8": 3,
+    "tree-max-3.1": 1,
+    "connected-max-3.2": 1,
+    "unicyclic-max-4.3": 3,
+    "path-cycle-4.1": 4,
+}
+
+
+def test_first_case_covers_every_theorem():
+    assert set(FIRST_CASE) == set(reports.THEOREMS)
+
+
+@pytest.mark.parametrize("theorem", sorted(FIRST_CASE))
+def test_lowest_order_with_a_case_is_verified(theorem):
+    assert verify_theorem(theorem, [FIRST_CASE[theorem]]).verified
+
+
+@pytest.mark.parametrize(
+    "theorem,orders",
+    [("lemma-2.5", [0, 1]), ("lemma-2.8", [1, 2]), ("path-cycle-4.1", [1, 2, 3])],
+)
+def test_order_with_nothing_to_check_is_an_error(theorem, orders):
+    """No edges, no rewiring sites or no inequalities: never verified."""
+    for n in orders:
+        message = re.escape(f"{theorem} has nothing to check at order {n}")
+        with pytest.raises(ValueError, match=message):
+            verify_theorem(theorem, [n])
+        with pytest.raises(ValueError, match=message):
+            verify_theorem(theorem, range(n, FIRST_CASE[theorem] + 1))
 
 
 def test_connected_max_verdict_flags_only_order_3():
