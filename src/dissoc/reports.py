@@ -199,15 +199,14 @@ class TheoremVerdict:
         return all(s == VERIFIED for s in self.status.values())
 
     def record(
-        self, order: int, ok: bool, cases: int, detail: str = "", bad: list[str] | None = None
+        self, order: int, ok: bool, cases: int, detail: str, bad: list[str] | None = None
     ):
         """Record one order's outcome over ``cases`` checked graphs, edges,
         sites or inequalities; an order with no case raises ValueError."""
         if not cases:
             raise ValueError(f"{self.theorem} has nothing to check at order {order}")
         self.status[order] = VERIFIED if ok else VIOLATED
-        if detail:
-            self.details[order] = detail
+        self.details[order] = detail
         if not ok:
             self.counterexamples[order] = bad or []
 
