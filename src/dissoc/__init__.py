@@ -2,10 +2,10 @@
 
 A dissociation set is a vertex subset inducing a subgraph of maximum degree
 at most one.  The package counts them exactly, in total and by size, with
-one memoized branching engine, builds the extremal tree and unicyclic families,
-generates all non-isomorphic trees / unicyclic / connected / general graphs
-at small orders, and exhaustively verifies the extremal bounds over those
-families.
+one memoized branching engine whose base case counts tree components in one
+linear pass, builds the extremal tree and unicyclic families, generates all
+non-isomorphic trees / unicyclic / connected / general graphs at small
+orders, and exhaustively verifies the extremal bounds over those families.
 """
 
 from .canon import canonical_form

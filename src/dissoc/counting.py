@@ -9,7 +9,11 @@ recurrence at a pivot v,
 (v excluded, v isolated in the set, v matched to a neighbour u), with
 component multiplicativity D(G u H) = D(G) D(H) and a memo keyed by the
 surviving-vertex bitmask of the original graph.  D(G) = sum_k d(G,k) x^k is
-the dissociation polynomial.
+the dissociation polynomial.  A component that is a tree (its degree sum,
+read in the pivot loop, is 2(|mask| - 1)) is not branched: a linear
+three-state pass from the leaves to the pivot gives D(T).  Paths and stars
+are trees and a cycle is one branch step from paths, so components of
+maximum degree two need no closed form of their own.
 
 The engine evaluates D at x = 2^w for a slot width w (Kronecker
 substitution): the isolated branch is shifted left by w, the matched branches
@@ -17,10 +21,11 @@ by 2w, and the component product stays one int multiply.  With w = 0 the
 value is D(1) = d(G), the count.  With w = n + 1 every coefficient
 d(G[mask], k) <= C(|mask|, k) < 2^w fits its own w-bit slot, and since every
 term is non-negative no carry crosses a slot, so slicing the int into n + 1
-slots reads off d(G, 0..n).  The memo lives for one call, so values of
-different widths never meet.  Closed forms for paths, stars, cycles and the
-extremal tree/unicyclic maxima live here too.  All arithmetic is exact
-(Python ints); counts grow like 2^n.
+slots reads off d(G, 0..n).  The tree pass uses the same shifts, so it
+serves every width.  The memo lives for one call, so values of different
+widths never meet.  Closed forms for paths, stars, cycles and the extremal
+tree/unicyclic maxima live here too.  All arithmetic is exact (Python ints);
+counts grow like 2^n.
 """
 
 from __future__ import annotations
@@ -55,6 +60,41 @@ def _branches(adj: tuple[int, ...], mask: int, v: int) -> list[int]:
     return out
 
 
+def _count_tree(adj: tuple[int, ...], mask: int, root: int, w: int) -> int:
+    """D(T) at x = 2^w for a tree T = G[mask], in one pass from the leaves
+    up to the root.
+
+    Each vertex v holds three sums of x^|S| over the dissociation sets S of
+    its subtree: v not in S, v in S with no neighbour in S (alone), and v in
+    S matched to one child (paired).  A child c folds into its parent p as:
+    p out takes any state of c; p alone takes c out; p paired was paired
+    with c out, or was alone with c alone, which pairs the two.
+    """
+    order = [root]
+    up = [0]  # up[i]: position in order of the parent of order[i]
+    rest = mask ^ (1 << root)
+    for i, v in enumerate(order):  # breadth-first; order grows while walked
+        kids = adj[v] & rest
+        rest ^= kids
+        while kids:
+            low = kids & -kids
+            order.append(low.bit_length() - 1)
+            up.append(i)
+            kids ^= low
+    size = len(order)
+    out = [1] * size
+    alone = [1 << w] * size
+    paired = [0] * size
+    for i in range(size - 1, 0, -1):
+        p = up[i]
+        o = out[i]
+        a = alone[i]
+        out[p] *= o + a + paired[i]
+        paired[p] = paired[p] * o + alone[p] * a
+        alone[p] *= o
+    return out[0] + alone[0] + paired[0]
+
+
 def _count_mask(adj: tuple[int, ...], mask: int, memo: dict[int, int], w: int) -> int:
     """D(G[mask]) at x = 2^w, given the adjacency masks of G."""
     if mask == 0:
@@ -69,20 +109,25 @@ def _count_mask(adj: tuple[int, ...], mask: int, memo: dict[int, int], w: int) -
     else:
         # pivot on a maximum-degree vertex of the component; bits() inlined,
         # this loop runs once per memo miss
-        pivot, best, rest = -1, -1, mask
+        pivot, best, degrees, rest = -1, -1, 0, mask
         while rest:
             low = rest & -rest
             v = low.bit_length() - 1
             d = (adj[v] & mask).bit_count()
+            degrees += d
             if d > best:
                 pivot, best = v, d
             rest ^= low
-        excluded, isolated, *matched = _branches(adj, mask, pivot)
-        result = _count_mask(adj, excluded, memo, w) + (_count_mask(adj, isolated, memo, w) << w)
-        pairs = 0
-        for sub in matched:
-            pairs += _count_mask(adj, sub, memo, w)
-        result += pairs << (w + w)
+        if degrees == 2 * (mask.bit_count() - 1):  # connected with |mask| - 1 edges
+            result = _count_tree(adj, mask, pivot, w)
+        else:
+            excluded, isolated, *matched = _branches(adj, mask, pivot)
+            result = _count_mask(adj, excluded, memo, w)
+            result += _count_mask(adj, isolated, memo, w) << w
+            pairs = 0
+            for sub in matched:
+                pairs += _count_mask(adj, sub, memo, w)
+            result += pairs << (w + w)
 
     memo[mask] = result
     return result

@@ -27,3 +27,18 @@ def unicyclic_graphs(draw, min_n: int = 3, max_n: int = 12):
         (u, v) for u in range(n) for v in range(u + 1, n) if not tree.has_edge(u, v)
     ]
     return tree.with_edge(*draw(st.sampled_from(non_edges)))
+
+
+@st.composite
+def forests(draw, min_n: int = 0, max_n: int = 18, connected: bool = False):
+    """Each vertex hangs from an earlier one, or (unless ``connected``) starts
+    a new tree; the labels are then shuffled, so the roots and the breadth-first
+    order of the counting engine do not follow them."""
+    n = draw(st.integers(min_n, max_n))
+    perm = draw(st.permutations(range(n)))
+    edges = []
+    for v in range(1, n):
+        u = draw(st.integers(0 if connected else -1, v - 1))
+        if u >= 0:
+            edges.append((perm[u], perm[v]))
+    return Graph(n, edges)

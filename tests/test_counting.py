@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import graphs
+from conftest import forests, graphs
 from dissoc.counting import (
     branch_partition,
     count,
@@ -29,7 +29,13 @@ from dissoc.graph import (
     star_graph,
     vertex_mask,
 )
-from oracles import brute_polynomial, count_brute, random_gnm, random_graph
+from oracles import (
+    brute_polynomial,
+    count_brute,
+    graph_from_pruefer,
+    random_gnm,
+    random_graph,
+)
 
 
 def test_is_dissociation_examples():
@@ -164,6 +170,24 @@ def test_polynomial_sums_to_count_at_64_vertices():
         assert sum(dissociation_polynomial(g)) == count(g)
 
 
+@given(st.one_of(forests(connected=True), forests()))
+def test_trees_and_forests_match_brute_oracle(g):
+    assert dissociation_polynomial(g) == brute_polynomial(g)
+    assert count(g) == count_brute(g)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_64_vertex_trees(seed):
+    rng = random.Random(seed)
+    t = graph_from_pruefer(64, tuple(rng.randrange(64) for _ in range(62)))
+    total = count(t)
+    coeffs = dissociation_polynomial(t)
+    assert sum(coeffs) == total
+    assert coeffs[:3] == [1, 64, math.comb(64, 2)]
+    for v in range(64):
+        assert branch_partition(t, v).total == total
+
+
 def test_engine_caps_at_64_vertices():
     big = Graph.from_adj((0,) * 65)
     with pytest.raises(ValueError, match="capped at 64"):
@@ -234,13 +258,13 @@ def test_extremal_maxima_golden_values():
         max_unicyclic_count(2)
 
 
-@pytest.mark.parametrize("n", range(1, 21))
+@pytest.mark.parametrize("n", range(1, 65))
 def test_tree_maximum_matches_its_graphs(n):
     for t in extremal_trees(n):
         assert count(t) == max_tree_count(n)
 
 
-@pytest.mark.parametrize("n", range(3, 21))
+@pytest.mark.parametrize("n", range(3, 65))
 def test_unicyclic_maximum_matches_its_graph(n):
     assert count(extremal_unicyclic(n)) == max_unicyclic_count(n)
 
