@@ -34,16 +34,14 @@ def to_graph6(g: Graph) -> str:
         out = [chr(63 + g.n)]
     else:
         out = ["~"] + [chr(63 + (g.n >> shift & 63)) for shift in (12, 6, 0)]
-    group = 0
-    width = 0
-    for u, v in _triangle_pairs(g.n):
-        group = (group << 1) | (g.adj[u] >> v & 1)
-        width += 1
-        if width == 6:
-            out.append(chr(63 + group))
-            group, width = 0, 0
-    if width:
-        out.append(chr(63 + (group << (6 - width))))
+    # column v is the bits of u = 0..v-1 in adj[v], lowest first; bit v set
+    # above them keeps their leading zeros, and [:2:-1] drops "0b1" and reverses
+    column_bits = "".join(
+        [bin(g.adj[v] & ((1 << v) - 1) | 1 << v)[:2:-1] for v in range(1, g.n)]
+    )
+    pad = -len(column_bits) % 6
+    packed = int(column_bits or "0", 2) << pad
+    out += [chr(63 + (packed >> s & 63)) for s in range(len(column_bits) + pad - 6, -1, -6)]
     return "".join(out)
 
 
