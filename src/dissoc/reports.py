@@ -374,7 +374,7 @@ class QuestionReport:
 
     order: int
     max_count: int
-    second_count: int | None
+    second_count: int
     second_graphs: list[str]
     unicyclic_max: int
     second_equals_unicyclic_max: bool
@@ -405,7 +405,9 @@ def question_scan(
 ) -> list[QuestionReport]:
     """Second-largest tier among trees U unicyclic per order, compared to the
     unicyclic maximum; exhaustively cross-checked against all connected
-    graphs where that family is generable (up to its ``FAMILY_CAPS`` order)."""
+    graphs where that family is generable (up to its ``FAMILY_CAPS`` order).
+    An order whose trees and unicyclic graphs share one count raises
+    ValueError: it has no second tier to compare."""
     order_list = sorted(orders)
     if not order_list:
         raise ValueError("no orders to scan")
@@ -415,7 +417,12 @@ def question_scan(
             family_stream(fam, n) for fam in ("trees", "unicyclic")
         )
         _, tiers = sweep(stream, 2, jobs, f"question n={n} trees+unicyclic")
-        second = tiers[1] if len(tiers) > 1 else Tier()
+        if len(tiers) < 2:
+            raise ValueError(
+                f"question has no second tier at order {n}: every tree and "
+                f"unicyclic graph counts {tiers[0].count}"
+            )
+        second = tiers[1]
         h_n = max_unicyclic_count(n)
         candidates = _tier(None, ((to_graph6(g), g) for g in _second_tier_candidates(n)))
 
@@ -424,7 +431,7 @@ def question_scan(
         if checked:
             label = f"question n={n} connected cross-check"
             _, conn_tiers = sweep(all_connected(n), 2, jobs, label)
-            conn = conn_tiers[1] if len(conn_tiers) > 1 else Tier()
+            conn = conn_tiers[1]  # a superset of trees U unicyclic, so two tiers
 
         out.append(
             QuestionReport(

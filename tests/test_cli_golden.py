@@ -92,6 +92,8 @@ UNFORMATTED = [
     ["verify", "--theorem", "path-cycle-4.1", "--orders", "1..3"],
     ["verify", "--theorem", "lemma-2.8", "--orders", "1..2"],
     ["verify", "--theorem", "lemma-2.5", "--orders", "0..1"],
+    # P_3 and K_3 both count 7: no second tier to compare
+    ["question", "--orders", "3"],
     # the polynomial above the 24-vertex brute-force range
     ["count", "--family", "path", "--order", "40", "--poly"],
     ["count", "--family", "cycle", "--order", "64", "--poly", "--format", "json"],

@@ -172,6 +172,12 @@ def test_question_scan_small_order_fields():
     assert report.banner == "evidence, not theorem"
 
 
+def test_question_order_with_one_tier_is_an_error():
+    # P_3 and K_3 both count 7
+    with pytest.raises(ValueError, match="no second tier at order 3"):
+        question_scan([3, 4], cross_check=False)
+
+
 def test_empty_order_lists_rejected():
     with pytest.raises(ValueError, match="no orders"):
         verify_theorem("lemma-2.5", [])
