@@ -9,10 +9,7 @@ never collide:
   individualization-refinement search with automorphism pruning, picking the
   lexicographically largest relabelled adjacency over the search leaves.
 
-Equal strings iff isomorphic graphs.  ``unicyclic_key`` is a separate dedup
-key for connected graphs with exactly one cycle, built from leaf peeling and
-AHU codes without any search; its strings are not comparable with
-``canonical_form``'s.
+Equal strings iff isomorphic graphs.
 """
 
 from __future__ import annotations
@@ -30,20 +27,16 @@ def canonical_form(g: Graph) -> bytes:
     return b"G" + bytes([g.n]) + b"".join(r.to_bytes(width, "little") for r in rows)
 
 
-# -- trees hanging off a core ------------------------------------------------
+# -- trees -------------------------------------------------------------------
 
-def peel(adj: tuple[int, ...], comp: int, keep: int) -> int:
-    """Strip whole layers of leaves from component ``comp`` while more than
-    ``keep`` vertices remain and leaves exist; return the vertices left.
-
-    On a tree with ``keep=2`` that is its centre (one vertex or an edge); on
-    a unicyclic component with ``keep=0`` it is the cycle.
-    """
+def peel(adj: tuple[int, ...], comp: int) -> int:
+    """The centre of tree component ``comp`` (one vertex or an edge): strip
+    whole layers of leaves while more than two vertices remain."""
     deg = [(m & comp).bit_count() for m in adj]
     alive = comp
     remaining = comp.bit_count()
     leaves = [v for v in bits(comp) if deg[v] <= 1]
-    while remaining > keep and leaves:
+    while remaining > 2 and leaves:
         nxt = []
         for v in leaves:
             alive &= ~(1 << v)
@@ -72,39 +65,7 @@ def _rooted_code(adj: tuple[int, ...], within: int, v: int) -> bytes:
 
 def _tree_code(adj: tuple[int, ...], comp: int) -> bytes:
     """AHU code of one tree component, rooted at its centre(s)."""
-    return max(_rooted_code(adj, comp, c) for c in bits(peel(adj, comp, 2)))
-
-
-def unicyclic_key(adj: tuple[int, ...]) -> bytes:
-    """Dedup key of a connected graph with exactly one cycle, given by its
-    adjacency masks: equal keys exactly for isomorphic such graphs.
-
-    The graph is its cycle with one rooted tree hanging from each cycle
-    vertex, so its class is the cyclic sequence of the rooted trees' AHU
-    codes up to rotation and reflection.  The key is the smallest of those
-    2r sequences, joined; AHU codes are balanced parentheses, so the join
-    can be split back into the sequence.  For the same reason no code is a
-    proper prefix of another, so the smallest join starts with the smallest
-    code and only rotations starting there need comparing.
-    """
-    full = (1 << len(adj)) - 1
-    cycle = peel(adj, full, 0)
-    hanging = full & ~cycle
-    seq = []
-    came_from = 0
-    bit = cycle & -cycle
-    for _ in range(cycle.bit_count()):
-        c = bit.bit_length() - 1
-        seq.append(_rooted_code(adj, hanging | bit, c))
-        step = adj[c] & cycle & ~came_from
-        came_from, bit = bit, step & -step
-    low = min(seq)
-    return min(
-        b"".join(s[i:] + s[:i])
-        for s in (seq, seq[::-1])
-        for i, code in enumerate(s)
-        if code == low
-    )
+    return max(_rooted_code(adj, comp, c) for c in bits(peel(adj, comp)))
 
 
 # -- general graphs ---------------------------------------------------------

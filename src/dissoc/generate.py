@@ -6,9 +6,9 @@ of every rooted tree.  A sequence is kept when its root is a centre and, for
 a bicentral tree, when it is the larger of the two centre rootings; both
 conditions (Wright, Richmond, Odlyzko & McKay, 1986) are read off the
 sequence, so each isomorphism class appears exactly once, without a dedup
-set, and only kept sequences become a ``Graph``.  Unicyclic graphs are trees
-plus one non-edge, deduplicated by the cycle-of-rooted-trees key
-``unicyclic_key`` (leaf peeling and AHU codes, no search).  General graphs
+set, and only kept sequences become a ``Graph``.  A unicyclic graph is a
+cycle of rooted trees, built once per class from its sequence of rooted
+trees that is smallest under rotation and reflection.  General graphs
 grow by canonical deletion (McKay, "Isomorph-free exhaustive generation",
 1998): each class of the previous order gets one new vertex per
 neighbourhood mask, a cheap vertex invariant rejects most children whose new
@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import logging
 from functools import lru_cache
+from itertools import combinations, product
 from typing import Iterable, Iterator
 
-from .canon import canonical_form, unicyclic_key
+from .canon import canonical_form
 from .graph import Graph, bits
 from .graph6 import Graph6Error, from_graph6
 
@@ -83,12 +84,22 @@ def _rooted_level_sequences(n: int) -> Iterator[list[int]]:
             levels[i] = levels[i - (p - q)]
 
 
+def _hang(levels: list[int], root: int, first: int, edges: list) -> int:
+    """Append the edges of the rooted tree with level sequence ``levels``:
+    its root is vertex ``root`` and its other vertices are ``first``,
+    ``first + 1``, ... in sequence order.  Return the next free vertex."""
+    last_at_level = [root] * len(levels)
+    v = first
+    for level in levels[1:]:
+        edges.append((last_at_level[level - 1], v))
+        last_at_level[level] = v
+        v += 1
+    return v
+
+
 def _tree_from_levels(levels: list[int]) -> Graph:
     edges = []
-    last_at_level = {0: 0}
-    for i in range(1, len(levels)):
-        edges.append((last_at_level[levels[i] - 1], i))
-        last_at_level[levels[i]] = i
+    _hang(levels, 0, 1, edges)
     return Graph(len(levels), edges)
 
 
@@ -116,26 +127,47 @@ def all_trees(n: int) -> Iterator[Graph]:
 
 # -- unicyclic graphs --------------------------------------------------------
 
+def _least(seq: list[int], maps: list[tuple[int, ...]]) -> list | None:
+    """The maps of ``maps`` that fix ``seq``, or None if one makes it
+    smaller; a map ``p`` sends ``seq`` to ``[seq[j] for j in p]``."""
+    fixed = []
+    for p in maps:
+        image = [seq[j] for j in p]
+        if image < seq:
+            return None
+        if image == seq:
+            fixed.append(p)
+    return fixed
+
+
 def all_unicyclic(n: int) -> Iterator[Graph]:
     """One representative per class of connected graphs with exactly one
-    cycle: every tree of the order plus each non-edge ``u < v``, in that
-    order, keeping the first candidate of each class by ``unicyclic_key``."""
+    cycle: a cycle 0..r-1 with a rooted tree hung from each cycle vertex.
+
+    A tree is labelled by its size, then its index among the rooted trees of
+    that size.  Two such graphs are isomorphic exactly when their label
+    sequences agree up to rotation and reflection, so each class is built
+    once, from its smallest sequence.  That sequence has the smallest sizes
+    too, so only the symmetries that fix its sizes can make it smaller."""
     _check_order("unicyclic", n)
-    seen: set[bytes] = set()
-    for tree in all_trees(n):
-        for u in range(n):
-            row = tree.adj[u]
-            for v in range(u + 1, n):
-                if row >> v & 1:
-                    continue
-                adj = list(tree.adj)
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-                adj = tuple(adj)
-                key = unicyclic_key(adj)
-                if key not in seen:
-                    seen.add(key)
-                    yield Graph.from_adj(adj)
+    rooted = {k: list(_rooted_level_sequences(k)) for k in range(1, n - 1)}
+    for r in range(3, n + 1):
+        rotations = [tuple((i + j) % r for j in range(r)) for i in range(r)]
+        symmetries = rotations[1:] + [p[::-1] for p in rotations]
+        cycle = [(i, (i + 1) % r) for i in range(r)]
+        for cuts in combinations(range(1, n), r - 1):
+            # lists, not tuples: CPython would keep up to 2,000 freed per length
+            sizes = [b - a for a, b in zip((0,) + cuts, cuts + (n,))]
+            fixed = _least(sizes, symmetries)
+            if fixed is None:
+                continue
+            for seq in product(*(range(len(rooted[k])) for k in sizes)):
+                if _least(list(seq), fixed) is not None:
+                    edges = cycle[:]
+                    first = r
+                    for root, (k, i) in enumerate(zip(sizes, seq)):
+                        first = _hang(rooted[k][i], root, first, edges)
+                    yield Graph(n, edges)
 
 
 # -- general and connected graphs --------------------------------------------

@@ -17,19 +17,6 @@ def graphs(draw, min_n: int = 0, max_n: int = 8):
 
 
 @st.composite
-def unicyclic_graphs(draw, min_n: int = 3, max_n: int = 12):
-    """A random tree (each vertex hangs from an earlier one) plus one random
-    non-edge: a connected graph with exactly one cycle."""
-    n = draw(st.integers(min_n, max_n))
-    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
-    tree = Graph(n, edges)
-    non_edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if not tree.has_edge(u, v)
-    ]
-    return tree.with_edge(*draw(st.sampled_from(non_edges)))
-
-
-@st.composite
 def forests(draw, min_n: int = 0, max_n: int = 18, connected: bool = False):
     """Each vertex hangs from an earlier one, or (unless ``connected``) starts
     a new tree; the labels are then shuffled, so the roots and the breadth-first

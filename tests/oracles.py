@@ -158,7 +158,7 @@ def peeled_tree_stream(n: int):
 
     for levels in _rooted_level_sequences(n):
         g = _tree_from_levels(levels)
-        centers = peel(g.adj, g.vertex_set, 2)
+        centers = peel(g.adj, g.vertex_set)
         if not centers & 1:
             continue
         if centers == 1:
@@ -171,9 +171,9 @@ def peeled_tree_stream(n: int):
 
 
 def ir_unicyclic_stream(n: int):
-    """``all_unicyclic``'s candidates in its order (trees in stream order,
-    then each non-edge u < v), keeping the first of each class by the IR
-    ``canonical_form`` instead of ``unicyclic_key``."""
+    """Every tree of the order plus each non-edge u < v, keeping the first
+    candidate of each class by the IR ``canonical_form``: an independent
+    reference for ``all_unicyclic``, which builds cycles of rooted trees."""
     from dissoc.canon import canonical_form
     from dissoc.generate import all_trees
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import graphs, unicyclic_graphs
-from dissoc.canon import canonical_form, unicyclic_key
+from conftest import graphs
+from dissoc.canon import canonical_form
 from dissoc.families import star_join
 from dissoc.graph import complete_graph, cycle_graph, path_graph, star_graph
 from oracles import all_labeled_graphs, brute_isomorphic, random_graph
@@ -76,28 +76,3 @@ def test_canonical_form_above_32_vertices(n):
 
 def test_canonical_rows_stay_4_bytes_up_to_32_vertices():
     assert len(canonical_form(cycle_graph(32))) == 2 + 4 * 32
-
-
-@given(unicyclic_graphs(max_n=64), st.randoms(use_true_random=False))
-def test_unicyclic_key_invariant_under_relabeling(g, rng):
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    assert unicyclic_key(g.relabel(perm).adj) == unicyclic_key(g.adj)
-
-
-@st.composite
-def unicyclic_pairs(draw):
-    """Two unicyclic graphs of one order up to 32; half the time the second
-    is a relabelled copy of the first."""
-    n = draw(st.integers(3, 32))
-    g = draw(unicyclic_graphs(n, n))
-    h = g if draw(st.booleans()) else draw(unicyclic_graphs(n, n))
-    perm = draw(st.permutations(range(n)))
-    return g, h.relabel(perm)
-
-
-@given(unicyclic_pairs())
-def test_unicyclic_key_splits_classes_like_canonical_form(pair):
-    g, h = pair
-    same_key = unicyclic_key(g.adj) == unicyclic_key(h.adj)
-    assert same_key == (canonical_form(g) == canonical_form(h))

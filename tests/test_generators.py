@@ -100,17 +100,23 @@ def test_unicyclic_stream_matches_labeled_dedup_oracle(n):
 
 @pytest.mark.parametrize("n", range(3, 11))
 def test_unicyclic_stream_matches_ir_reference(n):
-    """Dedup by unicyclic_key keeps exactly the candidates the IR canonical
-    form keeps, in the same order and labelling."""
-    got = [to_graph6(g) for g in all_unicyclic(n)]
-    assert got == [to_graph6(g) for g in ir_unicyclic_stream(n)]
+    """Building each cycle of rooted trees once gives exactly the classes
+    that deduplicating every tree plus one edge by IR canonical form gives."""
+    got = canon_set(all_unicyclic(n))
+    assert got == {canonical_form(g) for g in ir_unicyclic_stream(n)}
 
 
 # OEIS A001429: connected unicyclic graphs on n nodes
-A001429 = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657, 11: 1806, 12: 5026}
+A001429 = {
+    3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657, 11: 1806, 12: 5026,
+    13: 13999, 14: 39260, 15: 110381, 16: 311465,
+}
 
 
-@pytest.mark.parametrize("n", sorted(A001429))
+@pytest.mark.parametrize(
+    "n",
+    [*range(3, 15), *(pytest.param(n, marks=pytest.mark.slow) for n in (15, 16))],
+)
 def test_unicyclic_class_counts_match_a001429(n):
     assert sum(1 for _ in all_unicyclic(n)) == A001429[n]
 
