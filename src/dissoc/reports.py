@@ -406,11 +406,17 @@ def question_scan(
     """Second-largest tier among trees U unicyclic per order, compared to the
     unicyclic maximum; exhaustively cross-checked against all connected
     graphs where that family is generable (up to its ``FAMILY_CAPS`` order).
-    An order whose trees and unicyclic graphs share one count raises
-    ValueError: it has no second tier to compare."""
+    Every order must be in both families' ``FAMILY_CAPS``, checked before
+    the first sweep.  An order whose trees and unicyclic graphs share one
+    count raises ValueError: it has no second tier to compare."""
     order_list = sorted(orders)
     if not order_list:
         raise ValueError("no orders to scan")
+    lo = max(FAMILY_CAPS[fam][0] for fam in ("trees", "unicyclic"))
+    hi = min(FAMILY_CAPS[fam][1] for fam in ("trees", "unicyclic"))
+    bad = [n for n in order_list if not lo <= n <= hi]
+    if bad:
+        raise ValueError(f"question supports orders {lo}..{hi}, got {bad[0]}")
     out = []
     for n in order_list:
         stream = chain.from_iterable(

@@ -178,6 +178,17 @@ def test_question_order_with_one_tier_is_an_error():
         question_scan([3, 4], cross_check=False)
 
 
+@pytest.mark.parametrize("orders", [[1], [19], [2, 7], [7, 19]])
+def test_question_orders_outside_both_families_rejected_before_sweeping(
+    monkeypatch, orders
+):
+    swept = []
+    monkeypatch.setattr(reports, "sweep", lambda *args: swept.append(args))
+    with pytest.raises(ValueError, match=r"question supports orders 3\.\.18"):
+        question_scan(orders, cross_check=False)
+    assert swept == []
+
+
 def test_empty_order_lists_rejected():
     with pytest.raises(ValueError, match="no orders"):
         verify_theorem("lemma-2.5", [])
