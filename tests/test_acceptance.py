@@ -2,10 +2,10 @@
 FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
 
 The connected-graph tiers for orders 2..9 are computed once in a session
-fixture and shared by the two sweeps that need them; that fixture dominates
-the runtime (the order-9 family alone has 261,080 classes, about two
-minutes to generate and count).  Tests marked ``slow`` are the exhaustive
-order-14/order-9 sweeps.
+fixture (``reports.sweep`` over each order) and shared by the two sweeps that
+need them; that fixture dominates the runtime (the order-9 family alone has
+261,080 classes, about a minute to generate and count).  Tests marked
+``slow`` are the exhaustive order-14/order-9 sweeps.
 
 Two orders carry a known tie, a second extremal graph beside the paper's
 constructions (documented in the README):
@@ -52,7 +52,7 @@ from dissoc.graph import (
     star_graph,
 )
 from dissoc.graph6 import from_graph6, to_graph6
-from dissoc.reports import _TopTiers, question_scan, scan_family
+from dissoc.reports import question_scan, scan_family, sweep
 from dissoc.transforms import delete_edge_check
 from oracles import count_brute, random_graph
 
@@ -107,15 +107,8 @@ def connected_tiers():
     """order -> (class total, top-2 tiers as [(count, canonical-form set), ...])."""
     tiers = {}
     for n in range(2, 10):
-        tracker = _TopTiers(2)
-        total = 0
-        for g in all_connected(n):
-            tracker.add(canonical_form(g), count(g))
-            total += 1
-        tiers[n] = (
-            total,
-            [(c, set(keys)) for c, keys in sorted(tracker.tiers.items(), reverse=True)],
-        )
+        total, top = sweep(all_connected(n), 2, 1, f"connected n={n}")
+        tiers[n] = (total, [(t.count, set(t.canon)) for t in top])
     return tiers
 
 
