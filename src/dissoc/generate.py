@@ -156,7 +156,7 @@ def all_unicyclic(n: int) -> Iterator[Graph]:
         symmetries = rotations[1:] + [p[::-1] for p in rotations]
         cycle = [(i, (i + 1) % r) for i in range(r)]
         for cuts in combinations(range(1, n), r - 1):
-            # lists, not tuples: CPython would keep up to 2,000 freed per length
+            # lists, not tuples: CPython keeps up to 2,000 freed tuples per length
             sizes = [b - a for a, b in zip((0,) + cuts, cuts + (n,))]
             fixed = _least(sizes, symmetries)
             if fixed is None:
