@@ -1,3 +1,4 @@
+import hashlib
 import logging
 
 import pytest
@@ -179,6 +180,51 @@ def test_graph_class_counts_match_a000088(n):
 @pytest.mark.parametrize("n", sorted(A001349))
 def test_connected_class_counts_match_a001349(n):
     assert sum(1 for _ in all_connected(n)) == A001349[n]
+
+
+# sha256 of each stream's graph6 lines, newline-terminated: the labelling
+# and the order of every emitted graph, not only its class
+GRAPH_STREAM_SHA256 = {
+    0: "ce773b87709a04bbcb0ead74fea94b1f20fa4a4d185fc06a24a9bc703dd99613",
+    1: "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
+    2: "b7cd2a004ade86133158ffa94292f1d79a1fa154874706bf33b9e841cd3fa4cb",
+    3: "aefbaa12a956ed1f415fa897c455185134275a89a57ce1ef7d38f771c0d9129e",
+    4: "b809c405cd3b8fb3cc836a9e7471658a8cf02cbc258029bddbecc9f2caf2ea32",
+    5: "c4a4e9dfb7024f02f2b74883d8a513feaab2c5a69b910eaf603a2f377d7a7c69",
+    6: "fe09069cfd7fd4a379971aaad0ead131d653cfaecb54dfe39c85c33a62325f7a",
+    7: "f57aa642092d0e99b4f1acf45877273a6b11ed70ad8bb8166fc69ade9efe239e",
+    8: "10eee96d9249c9a813560db391e1de74431198e6a638cf4c4541d7222e604f7e",
+}
+CONNECTED_STREAM_SHA256 = {
+    1: "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
+    2: "fae4bfc454bd04363dcd5222772f2973b1193e1ff6f676e822a427323a677ef9",
+    3: "5966edf890849db6cb03626431916231a81a30c9db9a4781a4a8f2e5dc7e6129",
+    4: "d7da485669f2dc74b81c02f18774a07430937684896833d59f138b10debb5005",
+    5: "9167bda6bb32bacba6cd15aedf15df1aaab68a7b95c5a07315b0cf80b506a1e7",
+    6: "9d76812bf97090ace642e8f0eb68fcfa40983c01bf45665b0c7fc853a63bff16",
+    7: "74a4fda05044b168894811f61d63575044183122122c5ba9a67b27804ddc613c",
+    8: "79cb8fcd4c27aa39d16613e164d48406e25ad33c1818a475922690c37e577c3e",
+    9: "5e3d12dd56878c038c8d8dffaa32baf3396c7d021d8ab94437231eb9ee2426d1",
+}
+
+
+def stream_sha256(graphs):
+    digest = hashlib.sha256()
+    for g in graphs:
+        digest.update(to_graph6(g).encode() + b"\n")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("n", sorted(GRAPH_STREAM_SHA256))
+def test_graph_stream_is_pinned(n):
+    assert stream_sha256(all_graphs(n)) == GRAPH_STREAM_SHA256[n]
+
+
+@pytest.mark.parametrize(
+    "n", [*range(1, 9), pytest.param(9, marks=pytest.mark.slow)]
+)
+def test_connected_stream_is_pinned(n):
+    assert stream_sha256(all_connected(n)) == CONNECTED_STREAM_SHA256[n]
 
 
 def test_streams_are_restartable_and_deterministic():
