@@ -10,6 +10,14 @@ never collide:
   lexicographically largest relabelled adjacency over the search leaves.
 
 Equal strings iff isomorphic graphs.
+
+``automorphisms`` runs the same search on any graph and returns the
+automorphisms it met: two leaves with equal codes differ by one.  The
+search prunes only subtrees that a found automorphism maps onto explored
+ones, so every leaf has an explored image under the group they generate,
+and that group is the whole automorphism group (McKay & Piperno,
+"Practical graph isomorphism, II", 2014).  Canonical deletion relies on
+this to emit a child with no canonical form.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ def canonical_form(g: Graph) -> bytes:
     if g.is_forest():
         codes = sorted(_tree_code(g.adj, m) for m in g.component_masks())
         return b"T" + b"".join(codes)
-    rows = _canonical_adjacency(g.adj, g.n)
+    rows = _canonical_adjacency(g.adj, g.n)[0]
     width = 4 if g.n <= 32 else 8
     return b"G" + bytes([g.n]) + b"".join(r.to_bytes(width, "little") for r in rows)
 
@@ -75,36 +83,64 @@ def _refine(adj: tuple[int, ...], cells: list[int], work: list[int]) -> list[int
 
     Fragments are ordered by neighbour count towards the splitter, which is
     an isomorphism-invariant rule, so corresponding partitions of isomorphic
-    graphs refine identically.
+    graphs refine identically.  A one-vertex splitter splits a cell into its
+    non-neighbours, then its neighbours.  A discrete partition is returned
+    at once: nothing can split it.
     """
-    while work:
+    n = len(adj)
+    while work and len(cells) < n:
         w = work.pop()
-        i = 0
-        while i < len(cells):
-            cell = cells[i]
-            if cell & (cell - 1):
-                groups: dict[int, int] = {}
-                for v in bits(cell):
-                    k = (adj[v] & w).bit_count()
-                    groups[k] = groups.get(k, 0) | (1 << v)
-                if len(groups) > 1:
-                    frags = [groups[k] for k in sorted(groups)]
-                    cells[i:i + 1] = frags
-                    work.extend(frags)
-                    i += len(frags) - 1
-            i += 1
+        out = []
+        if w & (w - 1):
+            for cell in cells:
+                if cell & (cell - 1):
+                    groups: dict[int, int] = {}
+                    rest = cell
+                    while rest:
+                        low = rest & -rest
+                        k = (adj[low.bit_length() - 1] & w).bit_count()
+                        groups[k] = groups.get(k, 0) | low
+                        rest ^= low
+                    if len(groups) > 1:
+                        frags = [groups[k] for k in sorted(groups)]
+                        out += frags
+                        work += frags
+                        continue
+                out.append(cell)
+        else:
+            nbrs = adj[w.bit_length() - 1]
+            for cell in cells:
+                inside = cell & nbrs
+                if inside and inside != cell:
+                    out += (cell ^ inside, inside)
+                    work += (cell ^ inside, inside)
+                else:
+                    out.append(cell)
+        cells = out
     return cells
 
 
-def _canonical_adjacency(adj: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Adjacency rows of a canonical relabelling (max over IR search leaves)."""
+def automorphisms(g: Graph) -> list[list[int]]:
+    """Automorphisms of g that generate its whole automorphism group, as
+    vertex maps (``p[v]`` is the image of v); ``[]`` when the group is
+    trivial.  They come from the search behind ``canonical_form``, run on
+    any graph, forests included."""
+    return _canonical_adjacency(g.adj, g.n)[1]
+
+
+def _canonical_adjacency(
+    adj: tuple[int, ...], n: int
+) -> tuple[tuple[int, ...], list[list[int]]]:
+    """Adjacency rows of a canonical relabelling (max over IR search leaves),
+    and the automorphisms the search found."""
+    autos: list[list[int]] = []
     if n == 0:
-        return ()
+        return (), autos
     full = (1 << n) - 1
-    state = {"first": None, "best": None}
-    autos: list[tuple[int, ...]] = []
+    first = best = None  # (code, order) of the first leaf and of the best one
 
     def leaf(cells: list[int]) -> None:
+        nonlocal first, best
         order = [c.bit_length() - 1 for c in cells]
         pos = [0] * n
         for i, v in enumerate(order):
@@ -112,23 +148,25 @@ def _canonical_adjacency(adj: tuple[int, ...], n: int) -> tuple[int, ...]:
         rows = []
         for v in order:
             r = 0
-            for u in bits(adj[v]):
-                r |= 1 << pos[u]
+            rest = adj[v]
+            while rest:
+                low = rest & -rest
+                r |= 1 << pos[low.bit_length() - 1]
+                rest ^= low
             rows.append(r)
         code = tuple(rows)
-        for slot in ("first", "best"):
-            kept = state[slot]
-            if kept is None:
-                state[slot] = (code, order)
-            elif code == kept[0] and order != kept[1]:
+        if first is None:
+            first = best = (code, order)
+            return
+        for kept in (first,) if best is first else (first, best):
+            if code == kept[0]:
                 base = kept[1]
                 gamma = [0] * n
                 for i in range(n):
                     gamma[base[i]] = order[i]
-                autos.append(tuple(gamma))
-        best = state["best"]
+                autos.append(gamma)
         if code > best[0]:
-            state["best"] = (code, order)
+            best = (code, order)
 
     def orbit_closure(done: int, fixed: tuple[int, ...]) -> int:
         changed = True
@@ -172,4 +210,4 @@ def _canonical_adjacency(adj: tuple[int, ...], n: int) -> tuple[int, ...]:
         return
 
     search(_refine(adj, [full], [full]), ())
-    return state["best"][0]
+    return best[0], autos

@@ -11,10 +11,14 @@ cycle of rooted trees, built once per class from its sequence of rooted
 trees that is smallest under rotation and reflection.  General graphs
 grow by canonical deletion (McKay, "Isomorph-free exhaustive generation",
 1998): each class of the previous order gets one new vertex per
-neighbourhood mask, a cheap vertex invariant rejects most children whose new
-vertex is not the one it would delete, and canonical form dedups the few
-survivors; connected graphs are the connected members of that stream.  Every
-lower order is cached; the requested order streams.  Streams are
+neighbourhood mask, taking one mask per orbit of the class's automorphism
+group (the least, so the stream is the one that trying every mask gives).
+A vertex key (degree, sorted neighbour degrees) ranks the new vertex
+against the others: a child is dropped when another vertex outranks it,
+emitted with no canonical form when it ranks first alone, and deduplicated
+by canonical form only when it ties.  Connected graphs are the connected
+candidates of that stream, filtered before dedup.  Every lower order is
+cached; the requested order streams.  Streams are
 deterministic and restartable.
 graph6 ingestion covers externally generated families beyond the caps.
 """
@@ -26,7 +30,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Iterator
 
-from .canon import canonical_form
+from .canon import automorphisms, canonical_form
 from .graph import Graph, bits
 from .graph6 import Graph6Error, from_graph6
 
@@ -182,20 +186,25 @@ def _extend(h: Graph, mask: int) -> Graph:
     return Graph.from_adj(tuple(adj))
 
 
-def _extensions(n: int) -> Iterator[Graph]:
-    """One graph per class on n vertices, by canonical deletion.
+def _candidates(n: int) -> Iterator[tuple[Graph, bool]]:
+    """Children on n vertices that may stand for their class, each with
+    whether its new vertex ties for the top key.
 
     Each class on n-1 vertices gets a new vertex adjacent to each mask, in
-    increasing order.  A candidate survives only if no vertex has a larger
-    key (degree, sorted neighbour degrees) than its new vertex.  The first
-    survivor of each canonical form is kept.  Every class survives: removing
-    a top-key vertex x leaves a class on n-1 vertices, and some mask rebuilds
-    the class from it with x as the new vertex.
+    increasing order, taking only the least mask of each orbit of the
+    parent's automorphism group.  A child survives only if no vertex has a
+    larger key (degree, sorted neighbour degrees) than its new vertex.
+    Every class survives: removing a top-key vertex x leaves a class on n-1
+    vertices, and the least mask of some orbit rebuilds the class from it
+    with x as the new vertex.
+
+    A child whose new vertex has the top key alone is the only survivor of
+    its class: an isomorphism between two such children maps new vertex to
+    new vertex, so they share a parent and their masks share an orbit.
     """
     if n == 0:
-        yield Graph(0)
+        yield Graph(0), False
         return
-    seen: set[bytes] = set()
     for h in _classes(n - 1):
         deg = [m.bit_count() for m in h.adj]
         at = [0] * n  # at[d]: vertices of h of degree d
@@ -204,49 +213,87 @@ def _extensions(n: int) -> Iterator[Graph]:
         above = [0] * n  # above[d]: vertices of h of degree above d
         for d in range(n - 2, -1, -1):
             above[d] = above[d + 1] | at[d + 1]
+        autos = automorphisms(h)
+        taken: set[int] = set()  # the orbits of the masks already tried
         for mask in range(1 << h.n):
             d = mask.bit_count()
             # the child's degrees are deg plus one on mask, and d for the new
             # vertex: these vertices have a larger or an equal degree
-            if above[d] | at[d] & mask:
+            if above[d] | at[d] & mask or mask in taken:
                 continue
+            taken |= _orbit(mask, autos)
             equal = at[d] & ~mask | at[d - 1] & mask  # d = 0 only on mask 0
             g = _extend(h, mask)
-            if equal and _outranked(g.adj, equal):
-                continue
-            key = canonical_form(g)
-            if key not in seen:
-                seen.add(key)
-                yield g
+            tied = _tied(g.adj, equal) if equal else False
+            if tied is not None:
+                yield g, tied
 
 
-def _outranked(adj: tuple[int, ...], rivals: int) -> bool:
-    """Whether a rival of the last vertex, of the same degree, has larger
-    sorted neighbour degrees."""
+def _orbit(mask: int, autos: list[list[int]]) -> set[int]:
+    """The masks that the group generated by ``autos`` maps ``mask`` to."""
+    orbit = {mask}
+    todo = [mask]
+    for m in todo:
+        for p in autos:
+            image = 0
+            rest = m
+            while rest:
+                low = rest & -rest
+                image |= 1 << p[low.bit_length() - 1]
+                rest ^= low
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
+
+
+def _tied(adj: tuple[int, ...], rivals: int) -> bool | None:
+    """Rank the last vertex against its rivals of the same degree by sorted
+    neighbour degrees: None if a rival ranks above it, True if one ties with
+    it, False if it ranks first alone."""
     deg = [m.bit_count() for m in adj]
     new = len(adj) - 1
     mine = sorted([deg[u] for u in bits(adj[new])])
-    return any(sorted([deg[w] for w in bits(adj[u])]) > mine for u in bits(rivals))
+    tied = False
+    for u in bits(rivals):
+        theirs = sorted([deg[w] for w in bits(adj[u])])
+        if theirs > mine:
+            return None
+        tied = tied or theirs == mine
+    return tied
+
+
+def _dedup(candidates: Iterable[tuple[Graph, bool]]) -> Iterator[Graph]:
+    """The first candidate of each class: a tied candidate is kept only for
+    a new canonical form, any other is its class's only candidate."""
+    seen: set[bytes] = set()
+    for g, tied in candidates:
+        if tied:
+            key = canonical_form(g)
+            if key in seen:
+                continue
+            seen.add(key)
+        yield g
 
 
 @lru_cache(maxsize=None)
 def _classes(n: int) -> tuple[Graph, ...]:
-    return tuple(_extensions(n))
+    return tuple(_dedup(_candidates(n)))
 
 
 def all_graphs(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of simple graphs on n vertices."""
     _check_order("all", n)
-    yield from _extensions(n)
+    yield from _dedup(_candidates(n))
 
 
 def all_connected(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of connected graphs: the
-    connected members of the all-graphs stream, in its order."""
+    connected members of the all-graphs stream, in its order.  A
+    disconnected candidate never shares a class with a connected one, so it
+    is dropped before dedup."""
     _check_order("connected", n)
-    for g in _extensions(n):
-        if g.is_connected():
-            yield g
+    yield from _dedup((g, tied) for g, tied in _candidates(n) if g.is_connected())
 
 
 # -- graph6 streams -----------------------------------------------------------

@@ -74,6 +74,31 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
     return any(g.relabel(list(p)) == h for p in permutations(range(g.n)))
 
 
+def brute_automorphism_count(g: Graph) -> int:
+    """Order of Aut(g), by backtracking over vertex images: vertex v may go
+    to w when the degrees agree and every edge or non-edge to the vertices
+    already placed is kept."""
+    n = g.n
+    deg = [m.bit_count() for m in g.adj]
+    image = [0] * n
+
+    def place(v: int, used: int) -> int:
+        if v == n:
+            return 1
+        total = 0
+        for w in range(n):
+            if used >> w & 1 or deg[w] != deg[v]:
+                continue
+            if all(
+                (g.adj[v] >> u & 1) == (g.adj[w] >> image[u] & 1) for u in range(v)
+            ):
+                image[v] = w
+                total += place(v + 1, used | 1 << w)
+        return total
+
+    return place(0, 0)
+
+
 def labeled_class_count(n: int, keep=None) -> int:
     """Number of isomorphism classes among all labelled graphs on n vertices
     (optionally filtered), by canonical-form dedup."""

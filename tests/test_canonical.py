@@ -6,10 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import graphs
-from dissoc.canon import canonical_form
+from dissoc.canon import automorphisms, canonical_form
 from dissoc.families import star_join
-from dissoc.graph import complete_graph, cycle_graph, path_graph, star_graph
-from oracles import all_labeled_graphs, brute_isomorphic, random_graph
+from dissoc.generate import all_graphs
+from dissoc.graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
+from oracles import (
+    all_labeled_graphs,
+    brute_automorphism_count,
+    brute_isomorphic,
+    random_graph,
+)
 
 
 @given(graphs(max_n=8), st.randoms(use_true_random=False))
@@ -76,3 +82,62 @@ def test_canonical_form_above_32_vertices(n):
 
 def test_canonical_rows_stay_4_bytes_up_to_32_vertices():
     assert len(canonical_form(cycle_graph(32))) == 2 + 4 * 32
+
+
+# -- automorphisms ---------------------------------------------------------------
+
+def group_order(n, generators):
+    """Order of the permutation group generated by ``generators``, by
+    closing the identity under them."""
+    identity = tuple(range(n))
+    elements = {identity}
+    todo = [identity]
+    while todo:
+        a = todo.pop()
+        for p in generators:
+            b = tuple(p[a[v]] for v in range(n))
+            if b not in elements:
+                elements.add(b)
+                todo.append(b)
+    return len(elements)
+
+
+def test_automorphisms_generate_the_whole_group_up_to_7_vertices():
+    """Canonical deletion emits a child with no dedup when its new vertex
+    ranks first alone; that is sound only if these generators span Aut(g)."""
+    classes = 0
+    for n in range(8):
+        for g in all_graphs(n):
+            assert group_order(n, automorphisms(g)) == brute_automorphism_count(g)
+            classes += 1
+    assert classes == 1253
+
+
+def test_automorphisms_of_small_examples():
+    assert automorphisms(Graph(0)) == []
+    assert automorphisms(Graph(1)) == []
+    assert group_order(2, automorphisms(complete_graph(2))) == 2
+    assert group_order(6, automorphisms(cycle_graph(6))) == 12
+    assert group_order(5, automorphisms(star_graph(5))) == 24
+    assert group_order(7, automorphisms(Graph(7))) == 5040
+
+
+def random_forest(rng, n):
+    edges = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.9]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, edges).relabel(perm)
+
+
+def test_automorphisms_are_automorphisms_up_to_64_vertices():
+    rng = random.Random(4099)
+    for trial in range(120):
+        n = rng.randint(0, 64)
+        if trial % 3 == 0:
+            g = random_forest(rng, n)
+        else:
+            g = random_graph(rng, n, rng.choice([0.03, 0.1, 0.5]))
+        for p in automorphisms(g):
+            assert sorted(p) == list(range(n))
+            assert p != list(range(n))
+            assert g.relabel(p) == g
