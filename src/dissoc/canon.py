@@ -112,8 +112,9 @@ def _refine(adj: tuple[int, ...], cells: list[int], work: list[int]) -> list[int
             for cell in cells:
                 inside = cell & nbrs
                 if inside and inside != cell:
-                    out += (cell ^ inside, inside)
-                    work += (cell ^ inside, inside)
+                    frags = [cell ^ inside, inside]
+                    out += frags
+                    work += frags
                 else:
                     out.append(cell)
         cells = out
