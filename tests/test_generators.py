@@ -206,6 +206,40 @@ CONNECTED_STREAM_SHA256 = {
     8: "79cb8fcd4c27aa39d16613e164d48406e25ad33c1818a475922690c37e577c3e",
     9: "5e3d12dd56878c038c8d8dffaa32baf3396c7d021d8ab94437231eb9ee2426d1",
 }
+TREE_STREAM_SHA256 = {
+    1: "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
+    2: "fae4bfc454bd04363dcd5222772f2973b1193e1ff6f676e822a427323a677ef9",
+    3: "881159da90c6f28631b6a3eafd6d6d13cda0d0e4cc09d828374719d272f3da34",
+    4: "fca32a9fe1fd1a400c423e69ebee00e2a06fb15691a3b08274f2950e9c7e7a02",
+    5: "75b1bbca0d7e8b0393afbdd6c5ede541b4794db05d0b708583bc183c6dadfa2a",
+    6: "e3bf6aa40d16b6190b71e2ca435c5dbf487f4036b4ce27f30760d6386e6297d1",
+    7: "23f7212a810c6a2988541da7703f80c2550eebb34b7f197043e8c88993b5054c",
+    8: "d01c544d8ea11d5548efecb1aacb9487759fed1b26549124445f1441aaca0d21",
+    9: "5a81cc98052452dd42d7e3b2b61eb355e951e9d4be9f9a2c0324018020fe8c98",
+    10: "2e6cd2bd7414e3d574e6883095e9fe627b84d6a91a373bf9f07d5160f96a584d",
+    11: "84da20d604be82f235a01b2eb745ebc0c5ddfbab761888ba4bfd525e7b80d52c",
+    12: "d17f4a98f938c197ae4dcc2c8b23be087963ddf8bc4b4c21238fac8e4faab55f",
+    13: "0e11ba9687a8d40c6d983cdba2bd650aede2f63bd93f9661c7d7fb344fe07bf9",
+    14: "4b017fb0515facc888c8932a385e99e837d7e348e0324ad865b87892c9997ee1",
+    15: "9158ff5a5a378d66c87d3184b61a139c171341a7ac40d546812f036aedb2ad56",
+    16: "846436bc0ae66cb05ba1d4c52fabc2b871b606c0b81085576ebda27689ffa2a0",
+    17: "a39ca666e2cb3a877adc9c928b30906fc4c59c3926c6b65821e3ce4f19fe6048",
+    18: "3e1ee76bc222b5f2b598c41a0a3c2497c98feafa2981a2b729ecbaf1d0e28b7e",
+}
+UNICYCLIC_STREAM_SHA256 = {
+    3: "8e71b38f493557683524eb45ca8f814efe19aa3c9d7e946c42a25658f532618e",
+    4: "a82f4d93b8f036e11c1e3bdb4f26a3b7e028ceb1a4d04f874fc4f2d1c7ffa3f2",
+    5: "031ded93a9c1802c70e4541552058dd9cbb8ce6cfd9c43c1daf518ccc313fbe4",
+    6: "da8a62cef45e2e64fba16337a37f2b8fd81a9d29d806f3e01d92f44f17003b21",
+    7: "0cb65a7de677b75f1f362bac24e3eb74eba15f59df3ed8adde65124cf57bf14d",
+    8: "bbce1be7464c4aecd1b8b1658e2b37cc8ad4e298f00eab0b97dfe003d031e17f",
+    9: "cdc0a545820eab0553fc21efd9d7caf0ceea0dddee9bccb1b22a1377011bc924",
+    10: "5cbc3aad9792eeb1465af7e177dc5728458fd8fa20a2b5e2269ac245bb249c2a",
+    11: "d4b108c25e5a7a1d4665cb412a81d8191dfde1bb7c685ba981dfe56e73cbeb81",
+    12: "3cd42063e41ff7567bdb9d1410e058479bf52420d92810b46505e20ada220dbc",
+    13: "eb21e5d49cb98bc21e47b1591dab30607f201e3b10b2e45c9b874efffb6bdedb",
+    14: "e74ff7c48e7092bb96c9a3b6926c4a4b42b5b79cc7b967bfdba1a74d90a8f6ab",
+}
 
 
 def stream_sha256(graphs):
@@ -225,6 +259,20 @@ def test_graph_stream_is_pinned(n):
 )
 def test_connected_stream_is_pinned(n):
     assert stream_sha256(all_connected(n)) == CONNECTED_STREAM_SHA256[n]
+
+
+# n = 17 and 18 generate 48,629 and 123,867 trees (about 2 s and 6 s)
+@pytest.mark.parametrize(
+    "n",
+    [*range(1, 17), *(pytest.param(n, marks=pytest.mark.slow) for n in (17, 18))],
+)
+def test_tree_stream_is_pinned(n):
+    assert stream_sha256(all_trees(n)) == TREE_STREAM_SHA256[n]
+
+
+@pytest.mark.parametrize("n", sorted(UNICYCLIC_STREAM_SHA256))
+def test_unicyclic_stream_is_pinned(n):
+    assert stream_sha256(all_unicyclic(n)) == UNICYCLIC_STREAM_SHA256[n]
 
 
 def test_streams_are_restartable_and_deterministic():
