@@ -9,11 +9,19 @@ recurrence at a pivot v,
 (v excluded, v isolated in the set, v matched to a neighbour u), with
 component multiplicativity D(G u H) = D(G) D(H) and a memo keyed by the
 surviving-vertex bitmask of the original graph.  D(G) = sum_k d(G,k) x^k is
-the dissociation polynomial.  A component that is a tree (its degree sum,
-read in the pivot loop, is 2(|mask| - 1)) is not branched: a linear
-three-state pass from the leaves to the pivot gives D(T).  Paths and stars
-are trees and a cycle is one branch step from paths, so components of
-maximum degree two need no closed form of their own.
+the dissociation polynomial.
+
+A mask of at most two vertices needs no work: every subset of it is a
+dissociation set, so D = (1 + x)^|mask|.  Any other memo miss makes one
+breadth-first walk from the lowest vertex of the mask.  The walk yields the
+component of that vertex, its degree sum, a maximum-degree pivot (the first
+in walk order) and each walked vertex's parent.  A mask the walk does not
+cover is the walked component times the rest.  A component whose degree sum
+is 2(|component| - 1) is a tree and is not branched: a linear three-state
+fold over the walk, from the leaves to the root, gives D(T).  Any other
+component branches at the pivot.  Paths and stars are trees and a cycle is
+one branch step from paths, so components of maximum degree two need no
+closed form of their own.
 
 The engine evaluates D at x = 2^w for a slot width w (Kronecker
 substitution): the isolated branch is shifted left by w, the matched branches
@@ -21,18 +29,19 @@ by 2w, and the component product stays one int multiply.  With w = 0 the
 value is D(1) = d(G), the count.  With w = n + 1 every coefficient
 d(G[mask], k) <= C(|mask|, k) < 2^w fits its own w-bit slot, and since every
 term is non-negative no carry crosses a slot, so slicing the int into n + 1
-slots reads off d(G, 0..n).  The tree pass uses the same shifts, so it
-serves every width.  The memo lives for one call, so values of different
-widths never meet.  Closed forms for paths, stars, cycles and the extremal
+slots reads off d(G, 0..n).  The fold uses the same shifts, so it serves
+every width.  The memo lives for one call, so values of different widths
+never meet.  Closed forms for paths, stars, cycles and the extremal
 tree/unicyclic maxima live here too.  All arithmetic is exact (Python ints);
 counts grow like 2^n.
 """
+
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import MAX_VERTICES, Graph, bits, component
+from .graph import MAX_VERTICES, Graph, bits
 
 
 def is_dissociation(g: Graph, mask: int) -> bool:
@@ -53,16 +62,17 @@ def _branches(adj: tuple[int, ...], mask: int, v: int) -> list[int]:
     nbrs = adj[v] & mask
     closed = nbrs | (1 << v)
     out = [mask ^ (1 << v), mask & ~closed]
-    while nbrs:  # bits() inlined, as in the pivot loop below
+    while nbrs:  # bits() inlined, as in the walk below
         low = nbrs & -nbrs
         out.append(mask & ~(closed | adj[low.bit_length() - 1] | low))
         nbrs ^= low
     return out
 
 
-def _count_tree(adj: tuple[int, ...], mask: int, root: int, w: int) -> int:
-    """D(T) at x = 2^w for a tree T = G[mask], in one pass from the leaves
-    up to the root.
+def _fold(up: list[int], w: int) -> int:
+    """D(T) at x = 2^w for a tree T walked breadth-first, where up[i] is the
+    position in the walk of the parent of its i-th vertex (up[0] = 0 for the
+    root).  One pass from the leaves up to the root.
 
     Each vertex v holds three sums of x^|S| over the dissociation sets S of
     its subtree: v not in S, v in S with no neighbour in S (alone), and v in
@@ -70,18 +80,7 @@ def _count_tree(adj: tuple[int, ...], mask: int, root: int, w: int) -> int:
     p out takes any state of c; p alone takes c out; p paired was paired
     with c out, or was alone with c alone, which pairs the two.
     """
-    order = [root]
-    up = [0]  # up[i]: position in order of the parent of order[i]
-    rest = mask ^ (1 << root)
-    for i, v in enumerate(order):  # breadth-first; order grows while walked
-        kids = adj[v] & rest
-        rest ^= kids
-        while kids:
-            low = kids & -kids
-            order.append(low.bit_length() - 1)
-            up.append(i)
-            kids ^= low
-    size = len(order)
+    size = len(up)
     out = [1] * size
     alone = [1 << w] * size
     paired = [0] * size
@@ -97,40 +96,58 @@ def _count_tree(adj: tuple[int, ...], mask: int, root: int, w: int) -> int:
 
 def _count_mask(adj: tuple[int, ...], mask: int, memo: dict[int, int], w: int) -> int:
     """D(G[mask]) at x = 2^w, given the adjacency masks of G."""
-    if mask == 0:
-        return 1
+    size = mask.bit_count()
+    if size <= 2:  # every set of at most two vertices is a dissociation set
+        return (1 + (1 << w)) ** size
     cached = memo.get(mask)
     if cached is not None:
         return cached
 
-    comp = component(adj, mask)
-    if comp != mask:
-        result = _count_mask(adj, comp, memo, w) * _count_mask(adj, mask ^ comp, memo, w)
-    else:
-        # pivot on a maximum-degree vertex of the component; bits() inlined,
-        # this loop runs once per memo miss
-        pivot, best, degrees, rest = -1, -1, 0, mask
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            d = (adj[v] & mask).bit_count()
-            degrees += d
-            if d > best:
-                pivot, best = v, d
-            rest ^= low
-        if degrees == 2 * (mask.bit_count() - 1):  # connected with |mask| - 1 edges
-            result = _count_tree(adj, mask, pivot, w)
-        else:
-            excluded, isolated, *matched = _branches(adj, mask, pivot)
-            result = _count_mask(adj, excluded, memo, w)
-            result += _count_mask(adj, isolated, memo, w) << w
-            pairs = 0
-            for sub in matched:
-                pairs += _count_mask(adj, sub, memo, w)
-            result += pairs << (w + w)
+    # one breadth-first walk from the lowest vertex gives the component, its
+    # degree sum, a maximum-degree pivot (the first in walk order) and the
+    # parent positions the fold needs; bits() inlined, this runs once per miss
+    low = mask & -mask
+    order = [low.bit_length() - 1]
+    up = [0]
+    unseen = mask ^ low
+    pivot, best, degrees = -1, -1, 0
+    for i, v in enumerate(order):  # order grows while walked
+        nbrs = adj[v] & mask
+        d = nbrs.bit_count()
+        degrees += d
+        if d > best:
+            pivot, best = v, d
+        kids = nbrs & unseen
+        unseen ^= kids
+        while kids:
+            low = kids & -kids
+            order.append(low.bit_length() - 1)
+            up.append(i)
+            kids ^= low
+    comp = mask ^ unseen
+    tree = degrees == 2 * (len(order) - 1)  # connected with |comp| - 1 edges
 
+    if not unseen:
+        result = _fold(up, w) if tree else _branch(adj, mask, pivot, memo, w)
+    else:
+        part = memo.get(comp)
+        if part is None:
+            part = _fold(up, w) if tree else _branch(adj, comp, pivot, memo, w)
+            memo[comp] = part
+        result = part * _count_mask(adj, unseen, memo, w)
     memo[mask] = result
     return result
+
+
+def _branch(adj: tuple[int, ...], mask: int, v: int, memo: dict[int, int], w: int) -> int:
+    """D(G[mask]) at x = 2^w by the three-way branching at v."""
+    excluded, isolated, *matched = _branches(adj, mask, v)
+    result = _count_mask(adj, excluded, memo, w)
+    result += _count_mask(adj, isolated, memo, w) << w
+    pairs = 0
+    for sub in matched:
+        pairs += _count_mask(adj, sub, memo, w)
+    return result + (pairs << (w + w))
 
 
 def count(g: Graph) -> int:

@@ -6,9 +6,12 @@ of every rooted tree.  A sequence is kept when its root is a centre and, for
 a bicentral tree, when it is the larger of the two centre rootings; both
 conditions (Wright, Richmond, Odlyzko & McKay, 1986) are read off the
 sequence, so each isomorphism class appears exactly once, without a dedup
-set, and only kept sequences become a ``Graph``.  A unicyclic graph is a
-cycle of rooted trees, built once per class from its sequence of rooted
-trees that is smallest under rotation and reflection.  General graphs
+set, and only kept sequences become a ``Graph``.  After a sequence whose
+root is no centre, one step at an earlier position skips every later
+sequence that keeps its root's first subtree, or enough of that subtree to
+leave the others too few vertices.  A unicyclic graph is a cycle of rooted
+trees, built once per class from its sequence of rooted trees that is
+smallest under rotation and reflection.  General graphs
 grow by canonical deletion (McKay, "Isomorph-free exhaustive generation",
 1998): each class of the previous order gets one new vertex per
 neighbourhood mask, taking one mask per orbit of the class's automorphism
@@ -67,59 +70,89 @@ def family_stream(family: str, order: int) -> Iterator[Graph]:
 
 # -- free trees --------------------------------------------------------------
 
+def _step(levels: list[int], p: int) -> None:
+    """The Beyer-Hedetniemi step at position p, whose level is at least 2:
+    the largest canonical sequence that agrees with ``levels`` before p and
+    has one level less at p.  Positions p on copy the subtree of p's parent
+    over and over; the result depends only on ``levels[:p + 1]``."""
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    for i in range(p, len(levels)):
+        levels[i] = levels[i - (p - q)]
+
+
+def _successor(levels: list[int]) -> bool:
+    """Step to the next canonical sequence, at the last position of level 2
+    or more; False, with ``levels`` unchanged, if there is none."""
+    for p in range(len(levels) - 1, 0, -1):
+        if levels[p] >= 2:
+            _step(levels, p)
+            return True
+    return False
+
+
 def _rooted_level_sequences(n: int) -> Iterator[list[int]]:
     """Canonical level sequences of rooted trees on n vertices, root level 0,
     in decreasing lexicographic order (successor method); each is a fresh
     list."""
     levels = list(range(n))
-    while True:
+    yield levels[:]
+    while _successor(levels):
         yield levels[:]
-        p = -1
-        for i in range(n - 1, 0, -1):
-            if levels[i] >= 2:
-                p = i
-                break
-        if p < 0:
-            return
-        q = p - 1
-        while levels[q] != levels[p] - 1:
-            q -= 1
-        for i in range(p, n):
-            levels[i] = levels[i - (p - q)]
 
 
-def _hang(levels: list[int], root: int, first: int, edges: list) -> int:
-    """Append the edges of the rooted tree with level sequence ``levels``:
-    its root is vertex ``root`` and its other vertices are ``first``,
-    ``first + 1``, ... in sequence order.  Return the next free vertex."""
+def _hang(levels: list[int], root: int, first: int, adj: list[int]) -> int:
+    """Add to the adjacency masks ``adj`` the rooted tree with level
+    sequence ``levels``: its root is vertex ``root`` and its other vertices
+    are ``first``, ``first + 1``, ... in sequence order.  Return the next
+    free vertex."""
     last_at_level = [root] * len(levels)
     v = first
     for level in levels[1:]:
-        edges.append((last_at_level[level - 1], v))
+        u = last_at_level[level - 1]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
         last_at_level[level] = v
         v += 1
     return v
 
 
 def _tree_from_levels(levels: list[int]) -> Graph:
-    edges = []
-    _hang(levels, 0, 1, edges)
-    return Graph(len(levels), edges)
+    adj = [0] * len(levels)
+    _hang(levels, 0, 1, adj)
+    return Graph.from_adj(tuple(adj))
 
 
 def all_trees(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of free trees on n vertices."""
     _check_order("trees", n)
-    for levels in _rooted_level_sequences(n):
+    levels = list(range(n))
+    while True:
         # canonical order puts the root's tallest subtree first, at 1..split-1;
         # if the others are more than one level lower, the root is no centre
         split = levels.index(1, 2) if levels.count(1) > 1 else n
         height = max(levels)
         rest = max(levels[split:], default=0)
+        if rest < height - 1:
+            # the root is no centre; skip every later sequence that keeps
+            # levels[:p + 1], as none has its root as a centre either
+            if split - 1 + height <= n:
+                # the rests that follow this first subtree come in
+                # decreasing order, so none is taller than this one
+                p = split - 1
+            else:
+                # the tallest path comes first, so a first subtree that
+                # keeps positions 1..p has p vertices and height at least
+                # min(p, height); once their sum passes n, the other
+                # subtrees hold too few vertices to reach height - 1
+                p = max(n - height + 1, n // 2 + 1)
+            _step(levels, p)
+            continue
         if rest == height:
             # two tallest subtrees: the root is the only centre
             yield _tree_from_levels(levels)
-        elif rest == height - 1:
+        else:
             # the root and its first child are the centres; keep the larger
             # rooting.  Rooted at the child, the old root's subtree is the
             # tallest, so it comes first, then the child's own subtrees.
@@ -127,6 +160,8 @@ def all_trees(n: int) -> Iterator[Graph]:
             other += [l - 1 for l in levels[2:split]]
             if levels >= other:
                 yield _tree_from_levels(levels)
+        if not _successor(levels):
+            return
 
 
 # -- unicyclic graphs --------------------------------------------------------
@@ -158,7 +193,9 @@ def all_unicyclic(n: int) -> Iterator[Graph]:
     for r in range(3, n + 1):
         rotations = [tuple((i + j) % r for j in range(r)) for i in range(r)]
         symmetries = rotations[1:] + [p[::-1] for p in rotations]
-        cycle = [(i, (i + 1) % r) for i in range(r)]
+        cycle = [0] * n
+        for i in range(r):
+            cycle[i] = 1 << (i - 1) % r | 1 << (i + 1) % r
         for cuts in combinations(range(1, n), r - 1):
             # lists, not tuples: CPython keeps up to 2,000 freed tuples per length
             sizes = [b - a for a, b in zip((0,) + cuts, cuts + (n,))]
@@ -167,11 +204,11 @@ def all_unicyclic(n: int) -> Iterator[Graph]:
                 continue
             for seq in product(*(range(len(rooted[k])) for k in sizes)):
                 if _least(list(seq), fixed) is not None:
-                    edges = cycle[:]
+                    adj = cycle[:]
                     first = r
                     for root, (k, i) in enumerate(zip(sizes, seq)):
-                        first = _hang(rooted[k][i], root, first, edges)
-                    yield Graph(n, edges)
+                        first = _hang(rooted[k][i], root, first, adj)
+                    yield Graph.from_adj(tuple(adj))
 
 
 # -- general and connected graphs --------------------------------------------

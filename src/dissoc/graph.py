@@ -41,7 +41,8 @@ def component(adj: tuple[int, ...], mask: int) -> int:
     frontier = comp
     while frontier:
         reach = 0
-        # bits() inlined: the counting engine runs this once per memo miss
+        # bits() inlined: is_connected runs this on every candidate that
+        # all_connected tries
         while frontier:
             low = frontier & -frontier
             reach |= adj[low.bit_length() - 1]

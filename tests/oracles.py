@@ -175,14 +175,21 @@ def _rooted_canonical_levels(adj: tuple[int, ...], root: int) -> tuple[int, ...]
 
 def peeled_tree_stream(n: int):
     """``all_trees``'s rooted level sequences in its order, keeping those
-    whose root is a centre found by leaf peeling on the built ``Graph`` and,
-    for two centres, whose sequence is the larger of the two re-derived
-    centre rootings."""
+    whose root is a centre found by leaf peeling on the tree and, for two
+    centres, whose sequence is the larger of the two re-derived centre
+    rootings.  The tree is built here, not by the generator's own builder:
+    each vertex hangs from the last vertex one level up."""
     from dissoc.canon import peel
-    from dissoc.generate import _rooted_level_sequences, _tree_from_levels
+    from dissoc.generate import _rooted_level_sequences
 
     for levels in _rooted_level_sequences(n):
-        g = _tree_from_levels(levels)
+        edges = []
+        for v in range(1, n):
+            parent = v - 1
+            while levels[parent] != levels[v] - 1:
+                parent -= 1
+            edges.append((parent, v))
+        g = Graph(n, edges)
         centers = peel(g.adj, g.vertex_set)
         if not centers & 1:
             continue

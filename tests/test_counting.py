@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import forests, graphs
@@ -58,14 +58,41 @@ def test_count_brute_examples():
         brute_polynomial(Graph(25))
 
 
+# Disconnected graphs with |V| - 1 edges and a cycle, whose degree sum
+# alone reads like a tree's, with the isolated vertices after and before the
+# cycle, then the graphs on 0, 1 and 2 vertices
+ENGINE_EDGE_CASES = [
+    disjoint_union([complete_graph(3), Graph(1)]),
+    disjoint_union([Graph(1), complete_graph(3)]),
+    disjoint_union([cycle_graph(5), Graph(1)]),
+    disjoint_union([Graph(1), cycle_graph(5)]),
+    disjoint_union([complete_graph(4), Graph(3)]),
+    disjoint_union([Graph(3), complete_graph(4)]),
+    Graph(0),
+    Graph(1),
+    Graph(2),
+    complete_graph(2),
+]
+
+
+def with_edge_cases(test):
+    """Run a hypothesis test on every engine edge case too."""
+    for g in ENGINE_EDGE_CASES:
+        test = example(g)(test)
+    return test
+
+
 def test_count_examples():
     assert count(path_graph(10)) == 504
     assert count(path_graph(11)) == 927
     assert count(disjoint_union([complete_graph(2), Graph(1)])) == 8
     assert count(Graph(0)) == 1
+    assert count(Graph(2)) == count(complete_graph(2)) == 4
+    assert [count(g) for g in ENGINE_EDGE_CASES[:6]] == [14, 14, 42, 42, 88, 88]
 
 
 @given(graphs(max_n=9))
+@with_edge_cases
 def test_engine_matches_brute_oracle(g):
     assert count(g) == count_brute(g)
 
@@ -92,8 +119,9 @@ def test_branch_partition_examples():
 
 
 @given(graphs(min_n=1, max_n=8))
+@with_edge_cases
 def test_branch_partition_sums_to_count_at_every_pivot(g):
-    total = count(g)
+    total = count_brute(g)
     for v in range(g.n):
         assert branch_partition(g, v).total == total
 
@@ -103,9 +131,13 @@ def test_polynomial_examples():
     assert dissociation_polynomial(cycle_graph(4)) == [1, 4, 6, 0, 0]
     two_k2 = disjoint_union([complete_graph(2), complete_graph(2)])
     assert dissociation_polynomial(two_k2) == [1, 4, 6, 4, 1]
+    assert dissociation_polynomial(ENGINE_EDGE_CASES[1]) == [1, 4, 6, 3, 0]
+    assert dissociation_polynomial(Graph(0)) == [1]
+    assert dissociation_polynomial(Graph(2)) == [1, 2, 1]
 
 
 @given(graphs(max_n=14))
+@with_edge_cases
 def test_polynomial_matches_brute_oracle(g):
     assert dissociation_polynomial(g) == brute_polynomial(g)
 
