@@ -36,7 +36,6 @@ tree/unicyclic maxima live here too.  All arithmetic is exact (Python ints);
 counts grow like 2^n.
 """
 
-
 from __future__ import annotations
 
 from dataclasses import dataclass

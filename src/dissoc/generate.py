@@ -73,8 +73,9 @@ def family_stream(family: str, order: int) -> Iterator[Graph]:
 def _step(levels: list[int], p: int) -> None:
     """The Beyer-Hedetniemi step at position p, whose level is at least 2:
     the largest canonical sequence that agrees with ``levels`` before p and
-    has one level less at p.  Positions p on copy the subtree of p's parent
-    over and over; the result depends only on ``levels[:p + 1]``."""
+    has one level less at p.  From p on, the levels repeat those from p's
+    parent q on, with period p - q, so the result depends only on
+    ``levels[:p + 1]``."""
     q = p - 1
     while levels[q] != levels[p] - 1:
         q -= 1
