@@ -16,12 +16,15 @@ dissociation set, so D = (1 + x)^|mask|.  Any other memo miss makes one
 breadth-first walk from the lowest vertex of the mask.  The walk yields the
 component of that vertex, its degree sum, a maximum-degree pivot (the first
 in walk order) and each walked vertex's parent.  A mask the walk does not
-cover is the walked component times the rest.  A component whose degree sum
-is 2(|component| - 1) is a tree and is not branched: a linear three-state
-fold over the walk, from the leaves to the root, gives D(T).  Any other
-component branches at the pivot.  Paths and stars are trees and a cycle is
-one branch step from paths, so components of maximum degree two need no
-closed form of their own.
+cover is the walked component times the rest.  The degree sum alone decides
+how a component is solved.  At 2(|component| - 1) it is a tree, and a linear
+three-state fold over the walk, from the leaves to the root, gives D(T).  At
+2|component| it has exactly one cycle, so the walk's tree misses one edge;
+the same fold over that tree, with the two ends of the missing edge weighed
+in slots of their own, gives D(C) with no branch.  Only a component with two
+or more edges beyond a spanning tree branches at the pivot.  Paths, stars,
+cycles and every other tree or one-cycle graph are folded, so none needs a
+closed form of its own.
 
 The engine evaluates D at x = 2^w for a slot width w (Kronecker
 substitution): the isolated branch is shifted left by w, the matched branches
@@ -30,8 +33,9 @@ value is D(1) = d(G), the count.  With w = n + 1 every coefficient
 d(G[mask], k) <= C(|mask|, k) < 2^w fits its own w-bit slot, and since every
 term is non-negative no carry crosses a slot, so slicing the int into n + 1
 slots reads off d(G, 0..n).  The fold uses the same shifts, so it serves
-every width.  The memo lives for one call, so values of different widths
-never meet.  Closed forms for paths, stars, cycles and the extremal
+every width; the end weights of a one-cycle fold use slots wider than any
+value at x = 2^w and are summed away before it returns.  The memo lives for
+one call, so values of different widths never meet.  Closed forms for paths, stars, cycles and the extremal
 tree/unicyclic maxima live here too.  All arithmetic is exact (Python ints);
 counts grow like 2^n.
 """
@@ -53,7 +57,7 @@ def is_dissociation(g: Graph, mask: int) -> bool:
     return True
 
 
-# -- branching engine --------------------------------------------------------
+# -- counting engine ---------------------------------------------------------
 
 def _branches(adj: tuple[int, ...], mask: int, v: int) -> list[int]:
     """Surviving-vertex masks of the branches at v within mask: v excluded,
@@ -68,22 +72,19 @@ def _branches(adj: tuple[int, ...], mask: int, v: int) -> list[int]:
     return out
 
 
-def _fold(up: list[int], w: int) -> int:
-    """D(T) at x = 2^w for a tree T walked breadth-first, where up[i] is the
+def _fold(out: list[int], alone: list[int], paired: list[int], up: list[int]) -> int:
+    """Fold a walked tree from the leaves up to the root, where up[i] is the
     position in the walk of the parent of its i-th vertex (up[0] = 0 for the
-    root).  One pass from the leaves up to the root.
+    root), and return the sum of the root's states.
 
     Each vertex v holds three sums of x^|S| over the dissociation sets S of
-    its subtree: v not in S, v in S with no neighbour in S (alone), and v in
-    S matched to one child (paired).  A child c folds into its parent p as:
-    p out takes any state of c; p alone takes c out; p paired was paired
-    with c out, or was alone with c alone, which pairs the two.
+    its subtree, starting from v alone: v not in S, v in S with no neighbour
+    in S (alone), and v in S matched to one child (paired).  A child c folds
+    into its parent p as: p out takes any state of c; p alone takes c out;
+    p paired was paired with c out, or was alone with c alone, which pairs
+    the two.
     """
-    size = len(up)
-    out = [1] * size
-    alone = [1 << w] * size
-    paired = [0] * size
-    for i in range(size - 1, 0, -1):
+    for i in range(len(up) - 1, 0, -1):
         p = up[i]
         o = out[i]
         a = alone[i]
@@ -91,6 +92,56 @@ def _fold(up: list[int], w: int) -> int:
         paired[p] = paired[p] * o + alone[p] * a
         alone[p] *= o
     return out[0] + alone[0] + paired[0]
+
+
+def _tree(up: list[int], w: int) -> int:
+    """D(T) at x = 2^w for a tree T walked breadth-first."""
+    size = len(up)
+    return _fold([1] * size, [1 << w] * size, [0] * size, up)
+
+
+def _ring(adj: tuple[int, ...], comp: int, order: list[int], up: list[int], w: int) -> int:
+    """D(C) at x = 2^w for a connected C with exactly one cycle, walked
+    breadth-first.
+
+    The walk's tree T misses one edge ab of C.  A dissociation set S of T is
+    one of C unless a and b are both in S and not both alone in T.  So one
+    fold of T weighs each end by its state, in slots of k bits: out of S
+    weighs 1, alone in T weighs 2^k, paired in T weighs 2^3k.  A set lands
+    in slot 0, 1 or 3 with an end out, in slot 2 with both ends alone, and
+    in slot 4 (alone and paired) or 6 (both paired) when it is no
+    dissociation set of C.  With k wide enough that no slot overflows, D(C)
+    is the sum of slots 0 to 3 of the fold.
+
+    The weights go into an end's starting states (1, x, 0), mapped by
+    M(out, alone, paired) = (out, alone 2^3k, alone 2^k + (paired - alone) 2^3k).
+    Folding a child into M(s) gives M of s with that child folded in, so the
+    end reaches its parent, or the root's sum, as M of its true states.  An
+    alone end joins an alone parent, which pairs the two: 2^3k.  An out
+    parent, and the root's sum, take the sum of the end's states, in which
+    alone weighs 2^k and paired 2^3k.
+    """
+    size = len(order)
+    # the ends of the missing edge are the walk positions whose degree
+    # exceeds their degree in the walk's tree; the root is neither, as all
+    # its edges go down in a breadth-first walk
+    spare = [(adj[v] & comp).bit_count() - 1 for v in order]  # less the edge up
+    for p in up[1:]:  # less the edges down
+        spare[p] -= 1
+    a = spare.index(1)
+    b = spare.index(1, a + 1)
+
+    k = (w + 1) * size + 1  # a slot holds at most D(T) <= (1 + 2^w)^|C| < 2^k
+    x = 1 << w
+    alone = [x] * size
+    paired = [0] * size
+    alone[a] = alone[b] = x << 3 * k
+    paired[a] = paired[b] = (x << k) - (x << 3 * k)
+    total = _fold([1] * size, alone, paired, up)
+    slot = (1 << k) - 1
+    return (
+        (total & slot) + (total >> k & slot) + (total >> 2 * k & slot) + (total >> 3 * k & slot)
+    )
 
 
 def _count_mask(adj: tuple[int, ...], mask: int, memo: dict[int, int], w: int) -> int:
@@ -104,7 +155,7 @@ def _count_mask(adj: tuple[int, ...], mask: int, memo: dict[int, int], w: int) -
 
     # one breadth-first walk from the lowest vertex gives the component, its
     # degree sum, a maximum-degree pivot (the first in walk order) and the
-    # parent positions the fold needs; bits() inlined, this runs once per miss
+    # parent positions the folds need; bits() inlined, this runs once per miss
     low = mask & -mask
     order = [low.bit_length() - 1]
     up = [0]
@@ -124,18 +175,23 @@ def _count_mask(adj: tuple[int, ...], mask: int, memo: dict[int, int], w: int) -
             up.append(i)
             kids ^= low
     comp = mask ^ unseen
-    tree = degrees == 2 * (len(order) - 1)  # connected with |comp| - 1 edges
 
-    if not unseen:
-        result = _fold(up, w) if tree else _branch(adj, mask, pivot, memo, w)
-    else:
-        part = memo.get(comp)
-        if part is None:
-            part = _fold(up, w) if tree else _branch(adj, comp, pivot, memo, w)
-            memo[comp] = part
-        result = part * _count_mask(adj, unseen, memo, w)
-    memo[mask] = result
-    return result
+    # a covered mask has missed the memo already; the degree sum counts the
+    # component's edges beyond its spanning tree: none, one cycle, or more
+    part = memo.get(comp) if unseen else None
+    if part is None:
+        extra = degrees // 2 - len(order) + 1
+        if not extra:
+            part = _tree(up, w)
+        elif extra == 1:
+            part = _ring(adj, comp, order, up, w)
+        else:
+            part = _branch(adj, comp, pivot, memo, w)
+        memo[comp] = part
+    if unseen:
+        part *= _count_mask(adj, unseen, memo, w)
+        memo[mask] = part
+    return part
 
 
 def _branch(adj: tuple[int, ...], mask: int, v: int, memo: dict[int, int], w: int) -> int:

@@ -162,7 +162,9 @@ class Graph:
         return Graph.from_adj(tuple(adj))
 
     def relabel(self, perm: list[int]) -> "Graph":
-        """Image under vertex v -> perm[v]."""
+        """Image under vertex v -> perm[v]; perm must be a permutation of 0..n-1."""
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError(f"not a permutation of 0..{self.n - 1}: {perm}")
         adj = [0] * self.n
         for v in range(self.n):
             m = 0

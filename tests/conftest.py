@@ -1,7 +1,7 @@
-from hypothesis import settings
+from hypothesis import assume, settings
 from hypothesis import strategies as st
 
-from dissoc.graph import Graph
+from dissoc.graph import Graph, bits
 from oracles import graph_from_triangle_bits
 
 settings.register_profile("suite", deadline=None)
@@ -29,3 +29,20 @@ def forests(draw, min_n: int = 0, max_n: int = 18, connected: bool = False):
         if u >= 0:
             edges.append((perm[u], perm[v]))
     return Graph(n, edges)
+
+
+@st.composite
+def one_cycle_graphs(draw, max_n: int = 18, connected: bool = False):
+    """A random forest (a tree when ``connected``) with one edge added inside
+    one of its trees, so that exactly one component has a cycle; the labels
+    are shuffled as in :func:`forests`."""
+    g = draw(forests(min_n=3, max_n=max_n, connected=connected))
+    ends = [
+        u for comp in g.component_masks() for u in bits(comp)
+        if comp & ~g.adj[u] & ~(1 << u)
+    ]
+    assume(ends)
+    u = draw(st.sampled_from(ends))
+    comp = next(m for m in g.component_masks() if m >> u & 1)
+    v = draw(st.sampled_from(list(bits(comp & ~g.adj[u] & ~(1 << u)))))
+    return g.with_edge(u, v)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import forests, graphs
+from conftest import forests, graphs, one_cycle_graphs
+from dissoc import counting
 from dissoc.counting import (
     branch_partition,
     count,
@@ -18,8 +19,8 @@ from dissoc.counting import (
     max_unicyclic_count,
     subset_bound,
 )
-from dissoc.families import extremal_trees, extremal_unicyclic
-from dissoc.generate import all_graphs
+from dissoc.families import extremal_trees, extremal_unicyclic, pendant_cycle
+from dissoc.generate import all_graphs, all_unicyclic
 from dissoc.graph import (
     Graph,
     complete_graph,
@@ -58,9 +59,25 @@ def test_count_brute_examples():
         brute_polynomial(Graph(25))
 
 
+DIAMOND = complete_graph(4).without_edge(0, 1)
+
+# One-cycle graphs: the plain rings K_3 and C_4; a paw and a lollipop whose
+# tail end is vertex 0, so the walk starts off the ring; a diamond beside an
+# isolated vertex, after and before it, whose whole mask has degree sum
+# 2|V| though the walked component has two cycles; a ring before a tree
+RING_CASES = [
+    complete_graph(3),
+    cycle_graph(4),
+    Graph(4, [(0, 1), (1, 2), (2, 3), (3, 1)]),
+    Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 2)]),
+    disjoint_union([DIAMOND, Graph(1)]),
+    disjoint_union([Graph(1), DIAMOND]),
+    disjoint_union([cycle_graph(5), path_graph(3)]),
+]
+
 # Disconnected graphs with |V| - 1 edges and a cycle, whose degree sum
 # alone reads like a tree's, with the isolated vertices after and before the
-# cycle, then the graphs on 0, 1 and 2 vertices
+# cycle, then the ring cases, then the graphs on 0, 1 and 2 vertices
 ENGINE_EDGE_CASES = [
     disjoint_union([complete_graph(3), Graph(1)]),
     disjoint_union([Graph(1), complete_graph(3)]),
@@ -68,6 +85,7 @@ ENGINE_EDGE_CASES = [
     disjoint_union([Graph(1), cycle_graph(5)]),
     disjoint_union([complete_graph(4), Graph(3)]),
     disjoint_union([Graph(3), complete_graph(4)]),
+    *RING_CASES,
     Graph(0),
     Graph(1),
     Graph(2),
@@ -89,6 +107,7 @@ def test_count_examples():
     assert count(Graph(0)) == 1
     assert count(Graph(2)) == count(complete_graph(2)) == 4
     assert [count(g) for g in ENGINE_EDGE_CASES[:6]] == [14, 14, 42, 42, 88, 88]
+    assert [count(g) for g in RING_CASES] == [7, 11, 12, 38, 22, 22, 147]
 
 
 @given(graphs(max_n=9))
@@ -132,6 +151,15 @@ def test_polynomial_examples():
     two_k2 = disjoint_union([complete_graph(2), complete_graph(2)])
     assert dissociation_polynomial(two_k2) == [1, 4, 6, 4, 1]
     assert dissociation_polynomial(ENGINE_EDGE_CASES[1]) == [1, 4, 6, 3, 0]
+    assert [dissociation_polynomial(g) for g in RING_CASES] == [
+        [1, 3, 3, 0],
+        [1, 4, 6, 0, 0],
+        [1, 4, 6, 1, 0],
+        [1, 6, 15, 13, 3, 0, 0],
+        [1, 5, 10, 6, 0, 0],
+        [1, 5, 10, 6, 0, 0],
+        [1, 8, 28, 50, 45, 15, 0, 0, 0],
+    ]
     assert dissociation_polynomial(Graph(0)) == [1]
     assert dissociation_polynomial(Graph(2)) == [1, 2, 1]
 
@@ -206,6 +234,62 @@ def test_polynomial_sums_to_count_at_64_vertices():
 def test_trees_and_forests_match_brute_oracle(g):
     assert dissociation_polynomial(g) == brute_polynomial(g)
     assert count(g) == count_brute(g)
+
+
+@given(one_cycle_graphs())
+def test_one_cycle_graphs_match_brute_oracle(g):
+    assert count(g) == count_brute(g)
+    assert dissociation_polynomial(g) == brute_polynomial(g)
+
+
+def _pruefer_plus_edge(rng):
+    g = graph_from_pruefer(64, tuple(rng.randrange(64) for _ in range(62)))
+    while True:
+        u, v = rng.sample(range(64), 2)
+        if not g.has_edge(u, v):
+            return g.with_edge(u, v)
+
+
+def _seeded_pendant_cycle(rng):
+    """A cycle of 3 to 20 vertices carrying Pruefer trees, 64 vertices in all."""
+    r = rng.randint(3, 20)
+    extra = [0] * r
+    for _ in range(64 - r):
+        extra[rng.randrange(r)] += 1
+    slots = []
+    for s in extra:
+        if s == 0:
+            slots.append(None)
+            continue
+        tree = graph_from_pruefer(s + 1, tuple(rng.randrange(s + 1) for _ in range(s - 1)))
+        slots.append((tree, rng.randrange(s + 1)))
+    return pendant_cycle(r, slots)
+
+
+@pytest.mark.parametrize("build", [_pruefer_plus_edge, _seeded_pendant_cycle])
+@pytest.mark.parametrize("seed", range(4))
+def test_random_64_vertex_one_cycle_graphs(build, seed):
+    g = build(random.Random(seed))
+    assert g.n == g.edge_count() == 64 and g.is_connected()
+    total = count(g)
+    assert sum(dissociation_polynomial(g)) == total
+    for v in range(64):
+        assert branch_partition(g, v).total == total
+
+
+def test_one_cycle_graphs_are_folded_without_a_branch(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a one-cycle component was branched")
+
+    monkeypatch.setattr(counting, "_branch", refuse)
+    graphs = list(all_unicyclic(12))
+    assert len(graphs) == 5026
+    for g in graphs:
+        count(g)
+    g = _seeded_pendant_cycle(random.Random(0))
+    assert sum(dissociation_polynomial(g)) == count(g)
+    for v in range(g.n):
+        branch_partition(g, v)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -107,6 +107,12 @@ def test_relabel_reverse_is_involution(g):
     assert g.relabel(perm).relabel(perm) == g
 
 
+@pytest.mark.parametrize("perm", [[0, 0], [1], [0, 1, 2], [1, 2]])
+def test_relabel_rejects_a_list_that_is_no_permutation(perm):
+    with pytest.raises(ValueError, match="not a permutation"):
+        complete_graph(2).relabel(perm)
+
+
 def test_edge_mutation_roundtrip():
     p4 = path_graph(4)
     assert p4.with_edge(0, 3) == cycle_graph(4)
