@@ -107,19 +107,19 @@ def _ring(adj: tuple[int, ...], comp: int, order: list[int], up: list[int], w: i
     The walk's tree T misses one edge ab of C.  A dissociation set S of T is
     one of C unless a and b are both in S and not both alone in T.  So one
     fold of T weighs each end by its state, in slots of k bits: out of S
-    weighs 1, alone in T weighs 2^k, paired in T weighs 2^3k.  A set lands
-    in slot 0, 1 or 3 with an end out, in slot 2 with both ends alone, and
-    in slot 4 (alone and paired) or 6 (both paired) when it is no
+    weighs 1, alone in T weighs 2^k, paired in T weighs 2^2k.  A set lands
+    in slot 0, 1 or 2 with an end out, in slot 2 with both ends alone, and
+    in slot 3 (alone and paired) or 4 (both paired) when it is no
     dissociation set of C.  With k wide enough that no slot overflows, D(C)
-    is the sum of slots 0 to 3 of the fold.
+    is the sum of slots 0 to 2 of the fold.
 
     The weights go into an end's starting states (1, x, 0), mapped by
-    M(out, alone, paired) = (out, alone 2^3k, alone 2^k + (paired - alone) 2^3k).
+    M(out, alone, paired) = (out, alone 2^2k, alone 2^k + (paired - alone) 2^2k).
     Folding a child into M(s) gives M of s with that child folded in, so the
     end reaches its parent, or the root's sum, as M of its true states.  An
-    alone end joins an alone parent, which pairs the two: 2^3k.  An out
+    alone end joins an alone parent, which pairs the two: 2^2k.  An out
     parent, and the root's sum, take the sum of the end's states, in which
-    alone weighs 2^k and paired 2^3k.
+    alone weighs 2^k and paired 2^2k.
     """
     size = len(order)
     # the ends of the missing edge are the walk positions whose degree
@@ -135,13 +135,11 @@ def _ring(adj: tuple[int, ...], comp: int, order: list[int], up: list[int], w: i
     x = 1 << w
     alone = [x] * size
     paired = [0] * size
-    alone[a] = alone[b] = x << 3 * k
-    paired[a] = paired[b] = (x << k) - (x << 3 * k)
+    alone[a] = alone[b] = x << 2 * k
+    paired[a] = paired[b] = (x << k) - (x << 2 * k)
     total = _fold([1] * size, alone, paired, up)
     slot = (1 << k) - 1
-    return (
-        (total & slot) + (total >> k & slot) + (total >> 2 * k & slot) + (total >> 3 * k & slot)
-    )
+    return (total & slot) + (total >> k & slot) + (total >> 2 * k & slot)
 
 
 def _count_mask(adj: tuple[int, ...], mask: int, memo: dict[int, int], w: int) -> int:
