@@ -35,9 +35,9 @@ term is non-negative no carry crosses a slot, so slicing the int into n + 1
 slots reads off d(G, 0..n).  The fold uses the same shifts, so it serves
 every width; the end weights of a one-cycle fold use slots wider than any
 value at x = 2^w and are summed away before it returns.  The memo lives for
-one call, so values of different widths never meet.  Closed forms for paths, stars, cycles and the extremal
-tree/unicyclic maxima live here too.  All arithmetic is exact (Python ints);
-counts grow like 2^n.
+one call, so values of different widths never meet.  Closed forms for
+paths, stars, cycles and the extremal tree/unicyclic maxima live here too.
+All arithmetic is exact (Python ints); counts grow like 2^n.
 """
 
 from __future__ import annotations

@@ -31,18 +31,16 @@ def forests(draw, min_n: int = 0, max_n: int = 18, connected: bool = False):
     return Graph(n, edges)
 
 
+
 @st.composite
-def one_cycle_graphs(draw, max_n: int = 18, connected: bool = False):
-    """A random forest (a tree when ``connected``) with one edge added inside
-    one of its trees, so that exactly one component has a cycle; the labels
-    are shuffled as in :func:`forests`."""
-    g = draw(forests(min_n=3, max_n=max_n, connected=connected))
-    ends = [
-        u for comp in g.component_masks() for u in bits(comp)
-        if comp & ~g.adj[u] & ~(1 << u)
+def one_cycle_graphs(draw):
+    """A random tree or forest on 3 to 18 vertices, labels shuffled as in
+    :func:`forests`, with one edge added inside one of its trees, so that
+    exactly one component has a cycle."""
+    g = draw(st.one_of(forests(min_n=3, connected=True), forests(min_n=3)))
+    pairs = [
+        (u, v) for comp in g.component_masks() for u in bits(comp)
+        for v in bits(comp & ~g.adj[u]) if u < v
     ]
-    assume(ends)
-    u = draw(st.sampled_from(ends))
-    comp = next(m for m in g.component_masks() if m >> u & 1)
-    v = draw(st.sampled_from(list(bits(comp & ~g.adj[u] & ~(1 << u)))))
-    return g.with_edge(u, v)
+    assume(pairs)
+    return g.with_edge(*draw(st.sampled_from(pairs)))

@@ -282,9 +282,9 @@ def test_one_cycle_graphs_are_folded_without_a_branch(monkeypatch):
         raise AssertionError("a one-cycle component was branched")
 
     monkeypatch.setattr(counting, "_branch", refuse)
-    graphs = list(all_unicyclic(12))
-    assert len(graphs) == 5026
-    for g in graphs:
+    unicyclic = list(all_unicyclic(12))
+    assert len(unicyclic) == 5026
+    for g in unicyclic:
         count(g)
     g = _seeded_pendant_cycle(random.Random(0))
     assert sum(dissociation_polynomial(g)) == count(g)
