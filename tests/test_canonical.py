@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import defaultdict
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import graphs
 from dissoc.canon import automorphisms, canonical_form
-from dissoc.families import star_join
+from dissoc.families import complete_multipartite, star_join
 from dissoc.generate import all_graphs
 from dissoc.graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from oracles import (
@@ -82,6 +83,77 @@ def test_canonical_form_above_32_vertices(n):
 
 def test_canonical_rows_stay_4_bytes_up_to_32_vertices():
     assert len(canonical_form(cycle_graph(32))) == 2 + 4 * 32
+
+
+# -- pinned canonical bytes --------------------------------------------------------
+# A faster search must find the same maximum leaf: these sha256 digests pin
+# the canonical bytes of every graph class on at most 7 vertices and of
+# graphs whose large automorphism groups stress the pruning.
+
+def hypercube(d):
+    edges = [(u, u | 1 << i) for u in range(1 << d) for i in range(d) if not u >> i & 1]
+    return Graph(1 << d, edges)
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, outer + spokes + inner)
+
+
+SYMMETRIC_GRAPHS = {
+    "K_20": lambda: complete_graph(20),
+    "K_30": lambda: complete_graph(30),
+    "K_40": lambda: complete_graph(40),
+    "Q_5": lambda: hypercube(5),
+    "Q_6": lambda: hypercube(6),
+    "C_60": lambda: cycle_graph(60),
+    "K_8,8": lambda: complete_multipartite([8, 8]),
+    "K_4,4,4,4,4,4,4,4": lambda: complete_multipartite([4] * 8),
+    "K_1,31+e": lambda: star_graph(32).with_edge(1, 2),
+    "Petersen": petersen,
+}
+
+SYMMETRIC_FORM_SHA256 = {
+    "K_20": "f2dc984cecf71d99c1ad4a721b436d40972ed34a46cf35dc82863d54c95487bb",
+    "K_30": "d0b7831242447820632569545a21cddf4dd1b9cb16a9f9b45f7865b6bfb639ad",
+    "K_40": "2013c12c0b59bc21941970f1646cc7eaa1486028037e6e29bd07cbff3492b158",
+    "Q_5": "f84429c100d5d724ce56655e0c09f985ea705428f01005197837097eb075ad48",
+    "Q_6": "1afbb9b7689a337ce751b8331a1da6f5bd618298cc3799b1f2ff379fb5c7f234",
+    "C_60": "c2af95bb8276fa44850fafbe903464ceb16d39b40b37dbfa1592e372993c0b1c",
+    "K_8,8": "f8e285cbc138244af6c17547b6ac1a69402351306302f45efb31c55bb0b5e562",
+    "K_4,4,4,4,4,4,4,4": "0b5d4a153c0768d460df82603684d1634bdac6bd109bcc3f57ce334b6fe86d79",
+    "K_1,31+e": "ef5a25e400ad75f15ef436897e60f415cb72fdda154beaad310814615a98289d",
+    "Petersen": "2488e9ffe3975f561cf229bfe8ea11aa169d1d1f5195c6a22db7ec2afdb4246a",
+}
+
+# sha256 over the stream of all_graphs(n), each form prefixed by its length
+CLASS_FORMS_SHA256 = {
+    0: "1d60d5add50459510bb287f093b36c137d9f9cbc86a00589095b9d79e4de5526",
+    1: "2ee0c7e1bb4fb5943e33d02c83d4348f77a2f6ff950910dcc8230ba40578c1a9",
+    2: "e42c20fffdb67c39c35a2d7ecdab3f6a6efef0f1ec6ccdb463aff3813d83d2f2",
+    3: "da87db528c8a80eb4cb585e910aee6c940fae901a8316f2230b8ee92332bd71b",
+    4: "91f14027dea123038ad3980ea1db4219e40c320ae52b7bd70ebf9ca5b4d6ca45",
+    5: "48695aef4981e6af7290e861b93ec8e3cd13c89effa63154652dba01cb3a23ac",
+    6: "186ee1b89da57c66c1abeda485c3180bd86d76849c7a718219d5440000a651ac",
+    7: "91655e1329517f54a22e55d78ab0338c3a9256e50d33b562ae656f2db67eec13",
+}
+
+
+@pytest.mark.parametrize("name", SYMMETRIC_GRAPHS)
+def test_symmetric_graph_forms_are_pinned(name):
+    key = canonical_form(SYMMETRIC_GRAPHS[name]())
+    assert hashlib.sha256(key).hexdigest() == SYMMETRIC_FORM_SHA256[name]
+
+
+@pytest.mark.parametrize("n", CLASS_FORMS_SHA256)
+def test_class_forms_are_pinned(n):
+    digest = hashlib.sha256()
+    for g in all_graphs(n):
+        key = canonical_form(g)
+        digest.update(len(key).to_bytes(2, "little") + key)
+    assert digest.hexdigest() == CLASS_FORMS_SHA256[n]
 
 
 # -- automorphisms ---------------------------------------------------------------
