@@ -17,7 +17,13 @@ search prunes only subtrees that a found automorphism maps onto explored
 ones, so every leaf has an explored image under the group they generate,
 and that group is the whole automorphism group (McKay & Piperno,
 "Practical graph isomorphism, II", 2014).  Canonical deletion relies on
-this to emit a child with no canonical form.
+this to emit a child with no canonical form.  A leaf off the first path
+whose code is the first leaf's ends its whole subtree: the search jumps
+back to the first-path node where the leaf's path left it, because the
+automorphism just found maps the explored first-path child of that node
+onto the subtree being searched, leaves and codes alike.  So the maximum
+code stays the same, and each first-path node still sees one automorphism
+per orbit it prunes, as in nauty; K_40 needs 39 leaves beyond the first.
 """
 
 from __future__ import annotations
@@ -139,9 +145,12 @@ def _canonical_adjacency(
         return (), autos
     full = (1 << n) - 1
     first = best = None  # (code, order) of the first leaf and of the best one
+    first_path: tuple[int, ...] = ()  # the vertices individualised on the way to it
 
-    def leaf(cells: list[int]) -> None:
-        nonlocal first, best
+    def leaf(cells: list[int], fixed: tuple[int, ...]) -> int | None:
+        """Record a leaf; return the depth to jump back to when its code is
+        the first leaf's, None otherwise."""
+        nonlocal first, best, first_path
         order = [c.bit_length() - 1 for c in cells]
         pos = [0] * n
         for i, v in enumerate(order):
@@ -158,7 +167,9 @@ def _canonical_adjacency(
         code = tuple(rows)
         if first is None:
             first = best = (code, order)
-            return
+            first_path = fixed
+            return None
+        jump = None
         for kept in (first,) if best is first else (first, best):
             if code == kept[0]:
                 base = kept[1]
@@ -166,8 +177,15 @@ def _canonical_adjacency(
                 for i in range(n):
                     gamma[base[i]] = order[i]
                 autos.append(gamma)
+                if kept is first:
+                    # gamma maps the first path's subtree at the depth where
+                    # this leaf left it onto the one this leaf lies in
+                    jump = 0
+                    while fixed[jump] == first_path[jump]:
+                        jump += 1
         if code > best[0]:
             best = (code, order)
+        return jump
 
     def orbit_closure(done: int, fixed: tuple[int, ...]) -> int:
         changed = True
@@ -189,26 +207,30 @@ def _canonical_adjacency(
                     changed = True
         return done
 
-    def search(cells: list[int], fixed: tuple[int, ...]) -> None:
+    def search(cells: list[int], fixed: tuple[int, ...]) -> int | None:
+        """Explore a node; return the depth of the first-path node to jump
+        back to, or None when the node was explored in full."""
         target = -1
         for i, c in enumerate(cells):
             if c & (c - 1):
                 target = i
                 break
         if target < 0:
-            leaf(cells)
-            return
+            return leaf(cells, fixed)
         cell = cells[target]
+        depth = len(fixed)
         done = 0
         for v in bits(cell):
             if done >> v & 1:
                 continue
             child = cells[:target] + [1 << v, cell & ~(1 << v)] + cells[target + 1:]
-            search(_refine(adj, child, [1 << v]), fixed + (v,))
+            jump = search(_refine(adj, child, [1 << v]), fixed + (v,))
+            if jump is not None and jump < depth:
+                return jump
             done = orbit_closure(done | (1 << v), fixed)
             if done & cell == cell:
                 break
-        return
+        return None
 
     search(_refine(adj, [full], [full]), ())
     return best[0], autos

@@ -85,6 +85,34 @@ def test_canonical_rows_stay_4_bytes_up_to_32_vertices():
     assert len(canonical_form(cycle_graph(32))) == 2 + 4 * 32
 
 
+@st.composite
+def large_non_forests(draw):
+    """G(n, p) on 33 to 64 vertices from a drawn seed, with a triangle on
+    0, 1, 2 if the draw is a forest."""
+    n = draw(st.integers(33, 64))
+    p = draw(st.sampled_from([0.03, 0.1, 0.5]))
+    g = random_graph(random.Random(draw(st.integers(0, 2**32))), n, p)
+    if g.is_forest():
+        g = g.with_edge(0, 1).with_edge(1, 2).with_edge(0, 2)
+    return g
+
+
+@given(large_non_forests(), st.randoms(use_true_random=False))
+def test_large_non_forest_form_is_invariant_under_relabeling(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    assert canonical_form(g.relabel(perm)) == canonical_form(g)
+
+
+@given(large_non_forests(), st.randoms(use_true_random=False))
+def test_large_non_forest_form_changes_when_an_edge_flips(g, rng):
+    u, v = rng.sample(range(g.n), 2)
+    flipped = g.without_edge(u, v) if g.has_edge(u, v) else g.with_edge(u, v)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    assert canonical_form(flipped) != canonical_form(g.relabel(perm))
+
+
 # -- pinned canonical bytes --------------------------------------------------------
 # A faster search must find the same maximum leaf: these sha256 digests pin
 # the canonical bytes of every graph class on at most 7 vertices and of
@@ -183,6 +211,12 @@ def test_automorphisms_generate_the_whole_group_up_to_7_vertices():
             assert group_order(n, automorphisms(g)) == brute_automorphism_count(g)
             classes += 1
     assert classes == 1253
+
+
+def test_complete_graph_needs_one_generator_per_level():
+    # the search jumps back to the first path at the first leaf equal to the
+    # first leaf, so each first-path node of K_40 yields one transposition
+    assert len(automorphisms(complete_graph(40))) <= 39
 
 
 def test_automorphisms_of_a_trivial_group_are_empty():
