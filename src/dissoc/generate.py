@@ -18,11 +18,14 @@ neighbourhood mask, taking one mask per orbit of the class's automorphism
 group (the least, so the stream is the one that trying every mask gives).
 A vertex key (degree, sorted neighbour degrees) ranks the new vertex
 against the others: a child is dropped when another vertex outranks it,
-emitted with no canonical form when it ranks first alone, and deduplicated
-by canonical form only when it ties.  Connected graphs are the connected
-candidates of that stream, filtered before dedup.  Every lower order is
-cached; the requested order streams.  Streams are
-deterministic and restartable.
+emitted with no canonical form when it ranks first alone, and checked
+against the other tied children only when it ties.  Tied children are
+bucketed by a cheap invariant (the sorted multiset of the vertices' sorted
+neighbour degrees); one whose bucket is new is new to its class, and
+canonical forms are computed only in a bucket that a second child reaches.
+Connected graphs are the connected candidates of that stream, filtered
+before dedup.  Every lower order is cached; the requested order streams.
+Streams are deterministic and restartable.
 graph6 ingestion covers externally generated families beyond the caps.
 """
 
@@ -257,9 +260,12 @@ def _candidates(n: int) -> Iterator[tuple[Graph, bool]]:
             d = mask.bit_count()
             # the child's degrees are deg plus one on mask, and d for the new
             # vertex: these vertices have a larger or an equal degree
-            if above[d] | at[d] & mask or mask in taken:
+            if above[d] | at[d] & mask:
                 continue
-            taken |= _orbit(mask, autos)
+            if autos:  # with a trivial group every mask is its own orbit
+                if mask in taken:
+                    continue
+                taken |= _orbit(mask, autos)
             equal = at[d] & ~mask | at[d - 1] & mask  # d = 0 only on mask 0
             g = _extend(h, mask)
             tied = _tied(g.adj, equal) if equal else False
@@ -301,16 +307,46 @@ def _tied(adj: tuple[int, ...], rivals: int) -> bool | None:
     return tied
 
 
+def _invariant(adj: tuple[int, ...]) -> int:
+    """Hash of an isomorphism invariant: the sorted multiset of the
+    vertices' neighbour-degree multisets."""
+    # a multiset of degrees as one int, 4 bits per degree: at most 8
+    # neighbours share a degree, as the generators stop at 9 vertices
+    weight = [1 << 4 * m.bit_count() for m in adj]
+    sums = []
+    for m in adj:
+        x = 0
+        while m:
+            low = m & -m
+            x += weight[low.bit_length() - 1]
+            m ^= low
+        sums.append(x)
+    sums.sort()
+    return hash(tuple(sums))
+
+
 def _dedup(candidates: Iterable[tuple[Graph, bool]]) -> Iterator[Graph]:
-    """The first candidate of each class: a tied candidate is kept only for
-    a new canonical form, any other is its class's only candidate."""
+    """The first candidate of each class: any candidate but a tied one is
+    its class's only candidate.  A tied candidate whose invariant no earlier
+    tied candidate had is new to its class; the others are compared by
+    canonical form, the bucket's first member included once a second one
+    lands in it."""
+    held: dict[int, tuple[int, ...] | None] = {}  # invariant -> first member, until canonised
     seen: set[bytes] = set()
     for g, tied in candidates:
         if tied:
-            key = canonical_form(g)
-            if key in seen:
-                continue
-            seen.add(key)
+            inv = _invariant(g.adj)
+            if inv not in held:
+                held[inv] = g.adj
+            else:
+                adj = held[inv]
+                if adj is not None:
+                    seen.add(canonical_form(Graph.from_adj(adj)))
+                    held[inv] = None
+                key = canonical_form(g)
+                if key in seen:
+                    continue
+                seen.add(key)
         yield g
 
 
