@@ -11,9 +11,13 @@ stream header is tolerated and stripped.
 
 from __future__ import annotations
 
+from base64 import b64encode
+
 from .graph import MAX_VERTICES, Graph
 
 _HEADER = ">>graph6<<"
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_FROM_BASE64 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
 
 
 class Graph6Error(ValueError):
@@ -28,21 +32,29 @@ def _triangle_pairs(n: int):
 
 def to_graph6(g: Graph) -> str:
     """Encode a graph as a graph6 string (no trailing newline)."""
-    if g.n > MAX_VERTICES:
-        raise Graph6Error(f"order {g.n} exceeds the {MAX_VERTICES}-vertex cap")
-    if g.n <= 62:
-        out = [chr(63 + g.n)]
+    n = g.n
+    if n > MAX_VERTICES:
+        raise Graph6Error(f"order {n} exceeds the {MAX_VERTICES}-vertex cap")
+    if n <= 62:
+        head = chr(63 + n)
     else:
-        out = ["~"] + [chr(63 + (g.n >> shift & 63)) for shift in (12, 6, 0)]
-    # column v is the bits of u = 0..v-1 in adj[v], lowest first; bit v set
-    # above them keeps their leading zeros, and [:2:-1] drops "0b1" and reverses
-    column_bits = "".join(
-        [bin(g.adj[v] & ((1 << v) - 1) | 1 << v)[:2:-1] for v in range(1, g.n)]
-    )
-    pad = -len(column_bits) % 6
-    packed = int(column_bits or "0", 2) << pad
-    out += [chr(63 + (packed >> s & 63)) for s in range(len(column_bits) + pad - 6, -1, -6)]
-    return "".join(out)
+        head = "~" + "".join([chr(63 + (n >> shift & 63)) for shift in (12, 6, 0)])
+    if n < 2:
+        return head
+    # column v is the bits of u = 0..v-1 in adj[v], lowest first: stacked in
+    # one int, the stream runs from its lowest bit up, so reverse it once
+    adj = g.adj
+    y = 0
+    off = 0
+    for v in range(1, n):
+        y |= (adj[v] & ((1 << v) - 1)) << off
+        off += v
+    # pad to whole base64 quanta of 24 bits; base64 reads 6-bit groups from
+    # the top, and the table maps its alphabet onto chr(63..126)
+    full = -(-off // 24) * 24
+    stream = int(format(y, "0%db" % off)[::-1], 2) << full - off
+    body = b64encode(stream.to_bytes(full // 8, "big")).translate(_FROM_BASE64)
+    return head + body[:-(-off // 6)].decode("ascii")
 
 
 def from_graph6(text: str) -> Graph:

@@ -96,11 +96,14 @@ def test_order_cap_both_directions():
         to_graph6(big)
 
 
-@pytest.mark.parametrize("n", [33, 62, 63, 64])
+@pytest.mark.parametrize("n", [0, 1, 2, 31, 32, 33, 62, 63, 64])
 def test_roundtrip_with_networkx_up_to_the_cap(n):
+    # these orders leave 0, 2, 3 or 5 padding bits, and cross from the
+    # one-byte order header to the four-byte one at 63
     rng = random.Random(n)
-    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3])
-    text = to_graph6(g)
-    assert text == _nx_graph6(g)
-    assert text.startswith("~") == (n >= 63)
-    assert from_graph6(text) == g
+    sparse = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3])
+    for g in (Graph(n), sparse, complete_graph(n)):
+        text = to_graph6(g)
+        assert text == _nx_graph6(g)
+        assert text.startswith("~") == (n >= 63)
+        assert from_graph6(text) == g
