@@ -55,7 +55,7 @@ def component(adj: tuple[int, ...], mask: int) -> int:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "_hash")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if not 0 <= n <= MAX_VERTICES:
@@ -70,7 +70,6 @@ class Graph:
             adj[v] |= 1 << u
         self.n = n
         self.adj = tuple(adj)
-        self._hash = hash((n, self.adj))
 
     @classmethod
     def from_adj(cls, adj: tuple[int, ...]) -> "Graph":
@@ -78,7 +77,6 @@ class Graph:
         g = cls.__new__(cls)
         g.n = len(adj)
         g.adj = adj
-        g._hash = hash((g.n, adj))
         return g
 
     # -- basic queries -------------------------------------------------
@@ -87,7 +85,7 @@ class Graph:
         return isinstance(other, Graph) and self.adj == other.adj
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.adj)
 
     def __repr__(self) -> str:
         return f"Graph({self.n}, {sorted(self.edges())})"
