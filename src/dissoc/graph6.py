@@ -11,7 +11,7 @@ stream header is tolerated and stripped.
 
 from __future__ import annotations
 
-from base64 import b64encode
+from binascii import b2a_base64
 
 from .graph import MAX_VERTICES, Graph
 
@@ -53,7 +53,8 @@ def to_graph6(g: Graph) -> str:
     # the top, and the table maps its alphabet onto chr(63..126)
     full = -(-off // 24) * 24
     stream = int(format(y, "0%db" % off)[::-1], 2) << full - off
-    body = b64encode(stream.to_bytes(full // 8, "big")).translate(_FROM_BASE64)
+    data = stream.to_bytes(full // 8, "big")
+    body = b2a_base64(data, newline=False).translate(_FROM_BASE64)
     return head + body[:-(-off // 6)].decode("ascii")
 
 
