@@ -39,8 +39,6 @@ def to_graph6(g: Graph) -> str:
         head = chr(63 + n)
     else:
         head = "~" + "".join([chr(63 + (n >> shift & 63)) for shift in (12, 6, 0)])
-    if n < 2:
-        return head
     # column v is the bits of u = 0..v-1 in adj[v], lowest first: stacked in
     # one int, the stream runs from its lowest bit up, so reverse it once
     adj = g.adj
