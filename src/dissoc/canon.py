@@ -201,8 +201,11 @@ def _canonical_adjacency(
                 if not ok:
                     continue
                 img = 0
-                for v in bits(done):
-                    img |= 1 << gamma[v]
+                rest = done
+                while rest:  # bits() inlined, as in leaf
+                    low = rest & -rest
+                    img |= 1 << gamma[low.bit_length() - 1]
+                    rest ^= low
                 if img & ~done:
                     done |= img
                     changed = True
@@ -221,14 +224,17 @@ def _canonical_adjacency(
         cell = cells[target]
         depth = len(fixed)
         done = 0
-        for v in bits(cell):
-            if done >> v & 1:
+        rest = cell
+        while rest:  # bits() inlined, as in leaf
+            low = rest & -rest
+            rest ^= low
+            if done & low:
                 continue
-            child = cells[:target] + [1 << v, cell & ~(1 << v)] + cells[target + 1:]
-            jump = search(_refine(adj, child, [1 << v]), fixed + (v,))
+            child = cells[:target] + [low, cell ^ low] + cells[target + 1:]
+            jump = search(_refine(adj, child, [low]), fixed + (low.bit_length() - 1,))
             if jump is not None and jump < depth:
                 return jump
-            done = orbit_closure(done | (1 << v), fixed)
+            done = orbit_closure(done | low, fixed)
             if done & cell == cell:
                 break
         return None

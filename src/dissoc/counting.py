@@ -34,9 +34,24 @@ d(G[mask], k) <= C(|mask|, k) < 2^w fits its own w-bit slot, and since every
 term is non-negative no carry crosses a slot, so slicing the int into n + 1
 slots reads off d(G, 0..n).  The fold uses the same shifts, so it serves
 every width; the end weights of a one-cycle fold use slots wider than any
-value at x = 2^w and are summed away before it returns.  The memo lives for
-one call, so values of different widths never meet.  Closed forms for
-paths, stars, cycles and the extremal tree/unicyclic maxima live here too.
+value at x = 2^w and are summed away before it returns.  The memo of
+``dissociation_polynomial`` and ``branch_partition`` lives for one call, so
+values of different widths never meet.
+
+``count`` keeps one memo across calls, for the graphs that would branch:
+those with at least n + 1 edges (two or more beyond a spanning tree when
+connected) whose last vertex has two neighbours or more.  Canonical
+deletion emits the children g = h + v of one parent h in a row, and each
+child's first n - 1 vertices induce h.  So ``count`` keeps one slot: the
+first n - 1 rows of the last such graph, with bit n - 1 cleared, and a
+memo.  A graph whose rows differ resets the slot to an empty memo and is
+counted with a fresh one; a graph whose rows match branches at its last
+vertex v on the slot's memo.  Every mask that branch asks for, and every
+mask below it, lies inside h, so the memo holds values of induced
+subgraphs of h alone, and they hold for every sibling.
+
+Closed forms for paths, stars, cycles and the extremal tree/unicyclic
+maxima live here too.
 All arithmetic is exact (Python ints); counts grow like 2^n.
 """
 
@@ -203,11 +218,32 @@ def _branch(adj: tuple[int, ...], mask: int, v: int, memo: dict[int, int], w: in
     return result + (pairs << (w + w))
 
 
+# the first n - 1 rows of the last graph that would branch, with bit n - 1
+# cleared, and the memo of their induced subgraphs that its siblings share
+_parent: tuple[tuple[int, ...], dict[int, int]] = ((), {})
+
+
 def count(g: Graph) -> int:
     """Exact number of dissociation sets of g, empty set included."""
-    if g.n > MAX_VERTICES:
+    global _parent
+    n = g.n
+    if n > MAX_VERTICES:
         raise ValueError(f"counting engine capped at {MAX_VERTICES} vertices")
-    return _count_mask(g.adj, g.vertex_set, {}, 0)
+    adj = g.adj
+    full = g.vertex_set
+    # a last vertex of degree below two makes a poor pivot, and a connected
+    # graph with fewer than two edges beyond a spanning tree is folded with
+    # no branch; the cheap degree test goes first, so trees skip the sum
+    if n < 4 or adj[-1].bit_count() < 2 or sum(map(int.bit_count, adj)) < 2 * n + 2:
+        return _count_mask(adj, full, {}, 0)
+    rest = full >> 1
+    rows = tuple([m & rest for m in adj[:-1]])
+    if rows != _parent[0]:
+        _parent = (rows, {})
+        return _count_mask(adj, full, {}, 0)
+    # a sibling of the last graph: every mask of the branches at n - 1 lies
+    # inside their shared parent, so its memo serves them all
+    return _branch(adj, full, n - 1, _parent[1], 0)
 
 
 def dissociation_polynomial(g: Graph) -> list[int]:

@@ -31,16 +31,13 @@ graph6 ingestion covers externally generated families beyond the caps.
 
 from __future__ import annotations
 
-import logging
 from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Iterator
 
 from .canon import automorphisms, canonical_form
-from .graph import Graph, bits
+from .graph import Graph
 from .graph6 import Graph6Error, from_graph6
-
-log = logging.getLogger(__name__)
 
 FAMILY_CAPS = {
     "trees": (1, 18),
@@ -217,14 +214,18 @@ def all_unicyclic(n: int) -> Iterator[Graph]:
 
 # -- general and connected graphs --------------------------------------------
 
-def _extend(h: Graph, mask: int) -> Graph:
-    """h plus one new vertex adjacent to the vertices of mask."""
-    adj = list(h.adj)
-    new = h.n
-    for u in bits(mask):
-        adj[u] |= 1 << new
-    adj.append(mask)
-    return Graph.from_adj(tuple(adj))
+def _extend(adj: tuple[int, ...], mask: int) -> Graph:
+    """The graph of adjacency ``adj`` plus one new vertex adjacent to the
+    vertices of mask."""
+    out = list(adj)
+    new = 1 << len(adj)
+    rest = mask
+    while rest:  # bits() inlined, as in _orbit
+        low = rest & -rest
+        out[low.bit_length() - 1] |= new
+        rest ^= low
+    out.append(mask)
+    return Graph.from_adj(tuple(out))
 
 
 def _candidates(n: int) -> Iterator[tuple[Graph, bool]]:
@@ -234,7 +235,8 @@ def _candidates(n: int) -> Iterator[tuple[Graph, bool]]:
     Each class on n-1 vertices gets a new vertex adjacent to each mask, in
     increasing order, taking only the least mask of each orbit of the
     parent's automorphism group.  A child survives only if no vertex has a
-    larger key (degree, sorted neighbour degrees) than its new vertex.
+    larger key (degree, sorted neighbour degrees) than its new vertex; the
+    keys are read off the parent and the mask, so only survivors are built.
     Every class survives: removing a top-key vertex x leaves a class on n-1
     vertices, and the least mask of some orbit rebuilds the class from it
     with x as the new vertex.
@@ -247,7 +249,8 @@ def _candidates(n: int) -> Iterator[tuple[Graph, bool]]:
         yield Graph(0), False
         return
     for h in _classes(n - 1):
-        deg = [m.bit_count() for m in h.adj]
+        adj = h.adj
+        deg = [m.bit_count() for m in adj]
         at = [0] * n  # at[d]: vertices of h of degree d
         for u, du in enumerate(deg):
             at[du] |= 1 << u
@@ -267,10 +270,9 @@ def _candidates(n: int) -> Iterator[tuple[Graph, bool]]:
                     continue
                 taken |= _orbit(mask, autos)
             equal = at[d] & ~mask | at[d - 1] & mask  # d = 0 only on mask 0
-            g = _extend(h, mask)
-            tied = _tied(g.adj, equal) if equal else False
+            tied = _tied(adj, deg, mask, equal) if equal else False
             if tied is not None:
-                yield g, tied
+                yield _extend(adj, mask), tied
 
 
 def _orbit(mask: int, autos: list[list[int]]) -> set[int]:
@@ -291,16 +293,31 @@ def _orbit(mask: int, autos: list[list[int]]) -> set[int]:
     return orbit
 
 
-def _tied(adj: tuple[int, ...], rivals: int) -> bool | None:
-    """Rank the last vertex against its rivals of the same degree by sorted
-    neighbour degrees: None if a rival ranks above it, True if one ties with
-    it, False if it ranks first alone."""
-    deg = [m.bit_count() for m in adj]
-    new = len(adj) - 1
-    mine = sorted([deg[u] for u in bits(adj[new])])
+def _tied(adj: tuple[int, ...], deg: list[int], mask: int, rivals: int) -> bool | None:
+    """Rank the new vertex that ``_extend(adj, mask)`` would add against its
+    rivals of the same degree by sorted neighbour degrees, read off the
+    parent's adjacency and degrees ``deg``: None if a rival ranks above it,
+    True if one ties with it, False if it ranks first alone."""
+    # in the child, a vertex of mask has one more neighbour, and a rival in
+    # mask has the new vertex, of degree |mask|, as one more neighbour
+    mine = []
+    rest = mask
+    while rest:  # bits() inlined, as in _orbit
+        low = rest & -rest
+        mine.append(deg[low.bit_length() - 1] + 1)
+        rest ^= low
+    mine.sort()
     tied = False
-    for u in bits(rivals):
-        theirs = sorted([deg[w] for w in bits(adj[u])])
+    while rivals:
+        bit = rivals & -rivals
+        rivals ^= bit
+        theirs = [len(mine)] if mask & bit else []
+        rest = adj[bit.bit_length() - 1]
+        while rest:
+            low = rest & -rest
+            theirs.append(deg[low.bit_length() - 1] + (1 if mask & low else 0))
+            rest ^= low
+        theirs.sort()
         if theirs > mine:
             return None
         tied = tied or theirs == mine
@@ -388,7 +405,9 @@ def ingest_graph6(lines: Iterable[str], strict: bool = True) -> Iterator[Graph]:
         except Graph6Error as exc:
             if strict:
                 raise Graph6Error(f"line {lineno}: {exc}") from exc
-            log.warning("skipping line %d: %s", lineno, exc)
+            import logging  # imported only when a bad line is skipped
+
+            logging.getLogger(__name__).warning("skipping line %d: %s", lineno, exc)
 
 
 def read_graph6_file(path: str, strict: bool = True) -> Iterator[Graph]:

@@ -14,7 +14,6 @@ import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import chain, islice
-from multiprocessing import Pool
 from typing import Iterable, Iterator, NamedTuple
 
 from .canon import canonical_form
@@ -61,6 +60,8 @@ def counted_stream(
         for g in graphs:
             yield g, count(g), None
         return
+    from multiprocessing import Pool  # imported only where a pool is asked for
+
     it = iter(graphs)
     with Pool(processes=jobs) as pool:
         while True:

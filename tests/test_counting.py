@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import forests, graphs, one_cycle_graphs
@@ -20,9 +20,10 @@ from dissoc.counting import (
     subset_bound,
 )
 from dissoc.families import extremal_trees, extremal_unicyclic, pendant_cycle
-from dissoc.generate import all_graphs, all_unicyclic
+from dissoc.generate import all_connected, all_graphs, all_unicyclic
 from dissoc.graph import (
     Graph,
+    bits,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -121,6 +122,98 @@ def test_engine_matches_brute_on_seeded_midsize_sample():
     for _ in range(60):
         g = random_graph(rng, rng.randint(10, 13), rng.uniform(0.1, 0.9))
         assert count(g) == count_brute(g)
+
+
+def _plain(g):
+    """The engine with a fresh memo, never the parent's."""
+    return counting._count_mask(g.adj, g.vertex_set, {}, 0)
+
+
+def _child(h, mask):
+    """h plus a new last vertex adjacent to the vertices of mask."""
+    return Graph(h.n + 1, [*h.edges(), *((u, h.n) for u in bits(mask))])
+
+
+def _check_siblings(graphs, reference):
+    """Count the graphs in order against the reference, and check that the
+    shared memo holds only masks of the parent of the last graph it serves."""
+    for g in graphs:
+        assert count(g) == reference(g)
+        rows, memo = counting._parent
+        assert all(m >> len(rows) == 0 for m in memo)
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_graph_stream_counts_match_brute(n):
+    _check_siblings(all_graphs(n), count_brute)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_connected_stream_counts_match_brute(n):
+    _check_siblings(all_connected(n), count_brute)
+
+
+@pytest.mark.parametrize(
+    "stream, n",
+    [(all_graphs, 8), (all_connected, 8), pytest.param(all_connected, 9, marks=pytest.mark.slow)],
+)
+def test_stream_counts_match_plain_engine(stream, n):
+    _check_siblings(stream(n), _plain)
+
+
+def test_siblings_share_their_parent_memo():
+    h = complete_graph(5)
+    first, second = _child(h, 0b111), _child(h, 0b11100)
+    count(first)
+    assert counting._parent == (h.adj, {})
+    count(second)
+    rows, memo = counting._parent
+    assert rows == h.adj and memo
+    assert all(m < 1 << 5 for m in memo)
+
+
+def _sibling_orders(h, children, others, data):
+    """The children of h in order, shuffled, and shuffled among unrelated
+    graphs and h itself."""
+    yield children
+    yield data.draw(st.permutations(children))
+    yield data.draw(st.permutations([*children, *others, h]))
+
+
+@given(
+    graphs(max_n=10),
+    st.lists(st.sets(st.integers(0, 9)), min_size=1, max_size=8),
+    st.lists(graphs(max_n=9), max_size=4),
+    st.data(),
+)
+def test_siblings_in_any_order_match_brute(h, vertex_sets, others, data):
+    children = [_child(h, sum(1 << u for u in vs if u < h.n)) for vs in vertex_sets]
+    for order in _sibling_orders(h, children, others, data):
+        _check_siblings(order, count_brute)
+
+
+@settings(max_examples=20)
+@given(
+    st.integers(0, 2**32),
+    st.integers(62, 80),
+    st.lists(st.sets(st.integers(0, 62), min_size=2, max_size=8), min_size=1, max_size=6),
+    st.data(),
+)
+def test_siblings_of_a_63_vertex_parent_match_plain_engine(seed, m, vertex_sets, data):
+    rng = random.Random(seed)
+    h = random_gnm(rng, 63, m)
+    others = [random_gnm(rng, 64, m), random_gnm(rng, 63, m)]
+    children = [_child(h, sum(1 << u for u in vs)) for vs in vertex_sets]
+    for order in _sibling_orders(h, children, others, data):
+        _check_siblings(order, _plain)
+
+
+def test_polynomial_of_a_sibling_after_its_count():
+    h = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
+    for mask in (0b000111, 0b101010, 0b110011):
+        g = _child(h, mask)
+        assert count(g) == count_brute(g)
+        assert dissociation_polynomial(g) == brute_polynomial(g)
 
 
 def test_branch_partition_examples():
