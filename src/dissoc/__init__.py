@@ -41,7 +41,6 @@ from .graph import (
     complete_graph,
     cycle_graph,
     disjoint_union,
-    empty_graph,
     path_graph,
     star_graph,
     twin_status,
@@ -51,7 +50,6 @@ from .transforms import (
     ComparisonRecord,
     delete_edge_check,
     find_quasi_pendants,
-    normalize_quasi_pendants,
     quasi_pendant_transform,
     spanning_tree_chain,
 )

@@ -96,7 +96,7 @@ def _input_graphs(args) -> Iterator[Graph]:
         return iter([from_graph6(args.g6)])
     if args.file:
         return read_graph6_file(args.file, strict=not args.lenient)
-    return iter(construct_graphs(args.family, args.order, getattr(args, "parts", None)))
+    return iter(construct_graphs(args.family, args.order, args.parts))
 
 
 # -- rendering -----------------------------------------------------------------
@@ -146,7 +146,7 @@ def _render_verdict(verdict: TheoremVerdict, fmt: str) -> None:
                 verdict.theorem,
                 n,
                 verdict.status[n],
-                verdict.details.get(n, ""),
+                verdict.details[n],
                 ";".join(verdict.counterexamples.get(n, [])),
             ]
             for n in verdict.orders
@@ -155,10 +155,7 @@ def _render_verdict(verdict: TheoremVerdict, fmt: str) -> None:
     else:
         print(f"theorem: {verdict.theorem}")
         for n in verdict.orders:
-            line = f"  order {n}: {verdict.status[n]}"
-            if n in verdict.details:
-                line += f"  ({verdict.details[n]})"
-            print(line)
+            print(f"  order {n}: {verdict.status[n]}  ({verdict.details[n]})")
             for g6 in verdict.counterexamples.get(n, []):
                 print(f"    counterexample: {g6}")
         print(f"result: {'verified' if verdict.verified else 'VIOLATED'}")
@@ -268,14 +265,19 @@ def cmd_scan(args) -> int:
 
 def cmd_verify(args) -> int:
     orders = _parse_orders(args.orders) if args.orders else None
-    verdict = verify_theorem(args.theorem, orders, jobs=args.jobs)
+    if args.jobs > 1:
+        print(
+            f"{args.theorem}: runs in one process; --jobs {args.jobs} is not used",
+            file=sys.stderr,
+        )
+    verdict = verify_theorem(args.theorem, orders)
     _render_verdict(verdict, args.format)
     return 0 if verdict.verified else 2
 
 
 def cmd_question(args) -> int:
     orders = _parse_orders(args.orders) if args.orders else list(range(7, 14))
-    reports = question_scan(orders, jobs=args.jobs, cross_check=not args.no_cross_check)
+    reports = question_scan(orders, cross_check=not args.no_cross_check)
     _render_question(reports, args.format)
     return 0
 
@@ -373,7 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustively verify one named claim")
     p.add_argument("--theorem", choices=sorted(THEOREMS), required=True)
     p.add_argument("--orders", help="single order N or range A..B")
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument(
+        "--jobs", type=_positive_int, default=1,
+        help="accepted and not used: every claim runs in one process",
+    )
     _add_format(p)
     p.set_defaults(func=cmd_verify)
 
@@ -381,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
         "question", help="second-largest tier among trees+unicyclic (exploratory)"
     )
     p.add_argument("--orders", help="single order N or range A..B (default 7..13)")
-    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument(
         "--no-cross-check", action="store_true",
         help="skip the exhaustive connected-graph cross-check"

@@ -26,14 +26,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= b
 
 
-def vertex_mask(vertices: Iterable[int]) -> int:
-    """Pack an iterable of vertex indices into a bitmask."""
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 def component(adj: tuple[int, ...], mask: int) -> int:
     """The component of G[mask] holding the lowest vertex of mask, given the
     adjacency masks of G (0 for an empty mask)."""
@@ -183,10 +175,6 @@ class Graph:
             rest ^= comp
         return out
 
-    def components(self) -> list["Graph"]:
-        """The components as induced subgraphs, ordered by smallest vertex."""
-        return [self.induced_subgraph(m) for m in self.component_masks()]
-
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.component_masks()) == 1
 
@@ -220,10 +208,6 @@ def twin_status(g: Graph, u: int, v: int) -> str:
 
 
 # -- stock constructors ----------------------------------------------------
-
-def empty_graph(n: int) -> Graph:
-    return Graph(n)
-
 
 def complete_graph(n: int) -> Graph:
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])

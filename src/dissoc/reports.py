@@ -39,6 +39,7 @@ from .graph6 import from_graph6, to_graph6
 from .transforms import delete_edge_check, find_quasi_pendants, quasi_pendant_transform
 
 PROGRESS_EVERY = 10_000
+POOL_BATCH = 2048  # graphs shipped to the pool per map call
 
 VERIFIED = "verified"
 VIOLATED = "violated"
@@ -51,7 +52,7 @@ def _count_g6(text: str) -> int:
 
 
 def counted_stream(
-    graphs: Iterable[Graph], jobs: int = 1, batch: int = 2048
+    graphs: Iterable[Graph], jobs: int = 1
 ) -> Iterator[tuple[Graph, int, str | None]]:
     """Yield (graph, count, graph6) in stream order, optionally over a worker
     pool.  graph6 is the text shipped to the workers, or None when the graph
@@ -65,11 +66,12 @@ def counted_stream(
     it = iter(graphs)
     with Pool(processes=jobs) as pool:
         while True:
-            chunk = list(islice(it, batch))
+            chunk = list(islice(it, POOL_BATCH))
             if not chunk:
                 return
             texts = [to_graph6(g) for g in chunk]
-            counts = pool.map(_count_g6, texts, chunksize=max(1, batch // (4 * jobs)))
+            chunksize = max(1, POOL_BATCH // (4 * jobs))
+            counts = pool.map(_count_g6, texts, chunksize=chunksize)
             yield from zip(chunk, counts, texts)
 
 
@@ -224,15 +226,16 @@ class TheoremVerdict:
         }
 
 
-def _verify_bounds(verdict: TheoremVerdict, orders: list[int], jobs: int) -> None:
+def _verify_bounds(verdict: TheoremVerdict, orders: list[int]) -> None:
     """(n^2+n+2)/2 <= d(G) <= 2^n with both equality characterizations."""
     for n in orders:
         low = (n * n + n + 2) // 2
         high = subset_bound(n)
         bad = []
         graphs = 0
-        for g, c, _ in counted_stream(all_graphs(n), jobs=jobs):
+        for g in all_graphs(n):
             graphs += 1
+            c = count(g)
             ok = (
                 low <= c <= high
                 and (c == low) == is_complete_multipartite_small_parts(g)
@@ -243,17 +246,8 @@ def _verify_bounds(verdict: TheoremVerdict, orders: list[int], jobs: int) -> Non
         verdict.record(n, not bad, graphs, f"range [{low}, {high}]", bad)
 
 
-def _note_single_process(verdict: TheoremVerdict, jobs: int) -> None:
-    if jobs > 1:
-        print(
-            f"{verdict.theorem}: runs in one process; --jobs {jobs} is not used",
-            file=sys.stderr,
-        )
-
-
-def _verify_edge_deletion(verdict: TheoremVerdict, orders: list[int], jobs: int) -> None:
+def _verify_edge_deletion(verdict: TheoremVerdict, orders: list[int]) -> None:
     """d(G) <= d(G-uv) for every edge, equality exactly at true twins."""
-    _note_single_process(verdict, jobs)
     for n in orders:
         bad = []
         edges = 0
@@ -268,13 +262,14 @@ def _verify_edge_deletion(verdict: TheoremVerdict, orders: list[int], jobs: int)
         verdict.record(n, not bad, edges, "all edges checked", bad)
 
 
-def _verify_quasi_pendant(verdict: TheoremVerdict, orders: list[int], jobs: int) -> None:
+def _verify_quasi_pendant(verdict: TheoremVerdict, orders: list[int]) -> None:
     """Pendant-bundle rewiring strictly increases the count except on the
     degenerate two-pendant star (where it is the identity)."""
     for n in orders:
         bad = []
         sites = 0
-        for g, before, _ in counted_stream(all_connected(n), jobs=jobs):
+        for g in all_connected(n):
+            before = count(g)
             for u_q, pendants in find_quasi_pendants(g):
                 if len(pendants) < 2:
                     continue
@@ -293,12 +288,9 @@ def _verify_family_max(
     expected_graphs,
     verdict: TheoremVerdict,
     orders: list[int],
-    jobs: int,
 ) -> None:
     for n in orders:
-        total, (top,) = sweep(
-            family_stream(family, n), 1, jobs, f"scan {family} n={n}"
-        )
+        total, (top,) = sweep(family_stream(family, n), 1, 1, f"scan {family} n={n}")
         want_max = expected_max(n)
         want = {canonical_form(g) for g in expected_graphs(n)}
         ok = top.count == want_max and set(top.canon) == want
@@ -313,9 +305,8 @@ def _verify_family_max(
         )
 
 
-def _verify_path_cycle(verdict: TheoremVerdict, orders: list[int], jobs: int) -> None:
+def _verify_path_cycle(verdict: TheoremVerdict, orders: list[int]) -> None:
     """Cycle counts sit below path counts, and both below the unicyclic max."""
-    _note_single_process(verdict, jobs)
     for n in orders:
         checks = []
         if n >= 4:
@@ -351,7 +342,7 @@ THEOREMS = {
 }
 
 
-def verify_theorem(theorem: str, orders: Iterable[int] | None = None, jobs: int = 1) -> TheoremVerdict:
+def verify_theorem(theorem: str, orders: Iterable[int] | None = None) -> TheoremVerdict:
     """Exhaustively check one named claim over the given orders."""
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}; known: {sorted(THEOREMS)}")
@@ -360,7 +351,7 @@ def verify_theorem(theorem: str, orders: Iterable[int] | None = None, jobs: int 
     if not order_list:
         raise ValueError(f"no orders to verify {theorem} on")
     verdict = TheoremVerdict(theorem=theorem, orders=order_list)
-    func(verdict, order_list, jobs)
+    func(verdict, order_list)
     return verdict
 
 
@@ -402,7 +393,7 @@ def _second_tier_candidates(n: int) -> list[Graph]:
 
 
 def question_scan(
-    orders: Iterable[int], jobs: int = 1, cross_check: bool = True
+    orders: Iterable[int], cross_check: bool = True
 ) -> list[QuestionReport]:
     """Second-largest tier among trees U unicyclic per order, compared to the
     unicyclic maximum; exhaustively cross-checked against all connected
@@ -423,7 +414,7 @@ def question_scan(
         stream = chain.from_iterable(
             family_stream(fam, n) for fam in ("trees", "unicyclic")
         )
-        _, tiers = sweep(stream, 2, jobs, f"question n={n} trees+unicyclic")
+        _, tiers = sweep(stream, 2, 1, f"question n={n} trees+unicyclic")
         if len(tiers) < 2:
             raise ValueError(
                 f"question has no second tier at order {n}: every tree and "
@@ -437,7 +428,7 @@ def question_scan(
         conn = Tier()
         if checked:
             label = f"question n={n} connected cross-check"
-            _, conn_tiers = sweep(all_connected(n), 2, jobs, label)
+            _, conn_tiers = sweep(all_connected(n), 2, 1, label)
             conn = conn_tiers[1]  # a superset of trees U unicyclic, so two tiers
 
         out.append(

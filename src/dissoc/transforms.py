@@ -79,15 +79,6 @@ def quasi_pendant_transform(g: Graph, u_q: int) -> Graph:
     return out
 
 
-def normalize_quasi_pendants(g: Graph) -> Graph:
-    """Apply the pendant rewiring until every quasi-pendant has one pendant."""
-    while True:
-        sites = [(v, p) for v, p in find_quasi_pendants(g) if len(p) >= 2]
-        if not sites:
-            return g
-        g = quasi_pendant_transform(g, sites[0][0])
-
-
 def spanning_tree_chain(g: Graph) -> list[ComparisonRecord]:
     """Delete non-tree edges one at a time down to a DFS spanning tree.
 

@@ -2,6 +2,7 @@ import hashlib
 import random
 from collections import defaultdict
 
+import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -113,6 +114,80 @@ def test_large_non_forest_form_changes_when_an_edge_flips(g, rng):
     assert canonical_form(flipped) != canonical_form(g.relabel(perm))
 
 
+# -- pairs that colour refinement cannot split --------------------------------
+# Every vertex of a d-regular graph gets the same colour, so equal forms here
+# must come from the individualisation search, not from refinement alone.
+
+def rook_4x4():
+    """K_4 x K_4: cells of a 4x4 board, adjacent in the same row or column."""
+    return Graph(16, [
+        (u, v) for u in range(16) for v in range(u + 1, 16)
+        if u // 4 == v // 4 or u % 4 == v % 4
+    ])
+
+
+def shrikhande():
+    """Cayley graph of Z_4 x Z_4 with connection set ±(0, 1), ±(1, 0), ±(1, 1)."""
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    return Graph(16, [
+        (u, v) for u in range(16) for v in range(u + 1, 16)
+        if ((v // 4 - u // 4) % 4, (v % 4 - u % 4) % 4) in steps
+    ])
+
+
+def srg_parameters(g):
+    """(n, k, lambda, mu) of a strongly regular graph, or None."""
+    degrees = {g.degree(v) for v in range(g.n)}
+    common = [set(), set()]
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            common[g.has_edge(u, v)].add((g.adj[u] & g.adj[v]).bit_count())
+    if len(degrees) != 1 or len(common[0]) != 1 or len(common[1]) != 1:
+        return None
+    return g.n, degrees.pop(), common[1].pop(), common[0].pop()
+
+
+def test_rook_and_shrikhande_graphs_get_different_forms():
+    rook, shri = rook_4x4(), shrikhande()
+    assert srg_parameters(rook) == srg_parameters(shri) == (16, 6, 2, 2)
+    assert canonical_form(rook) != canonical_form(shri)
+    perm = list(range(16))
+    random.Random(16).shuffle(perm)
+    assert canonical_form(shri.relabel(perm)) == canonical_form(shri)
+
+
+def to_nx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def from_nx(h):
+    return Graph(h.number_of_nodes(), h.edges())
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [16, 32, 48, pytest.param(64, marks=pytest.mark.slow)])
+def test_random_regular_forms_agree_with_vf2(d, n):
+    """A draw against a relabelled copy, an independent draw and a
+    degree-preserving double-edge swap: equal forms exactly when VF2 finds
+    an isomorphism."""
+    rng = random.Random(100 * d + n)
+    a = nx.random_regular_graph(d, n, seed=rng.randrange(2**32))
+    g = from_nx(a)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    others = [
+        to_nx(g.relabel(perm)),
+        nx.random_regular_graph(d, n, seed=rng.randrange(2**32)),
+        nx.double_edge_swap(a.copy(), nswap=1, seed=rng.randrange(2**32)),
+    ]
+    key = canonical_form(g)
+    for h in others:
+        assert (canonical_form(from_nx(h)) == key) == nx.is_isomorphic(a, h)
+
+
 # -- pinned canonical bytes --------------------------------------------------------
 # A faster search must find the same maximum leaf: these sha256 digests pin
 # the canonical bytes of every graph class on at most 7 vertices and of
@@ -141,6 +216,8 @@ SYMMETRIC_GRAPHS = {
     "K_4,4,4,4,4,4,4,4": lambda: complete_multipartite([4] * 8),
     "K_1,31+e": lambda: star_graph(32).with_edge(1, 2),
     "Petersen": petersen,
+    "rook_4x4": rook_4x4,
+    "Shrikhande": shrikhande,
 }
 
 SYMMETRIC_FORM_SHA256 = {
@@ -154,6 +231,8 @@ SYMMETRIC_FORM_SHA256 = {
     "K_4,4,4,4,4,4,4,4": "0b5d4a153c0768d460df82603684d1634bdac6bd109bcc3f57ce334b6fe86d79",
     "K_1,31+e": "ef5a25e400ad75f15ef436897e60f415cb72fdda154beaad310814615a98289d",
     "Petersen": "2488e9ffe3975f561cf229bfe8ea11aa169d1d1f5195c6a22db7ec2afdb4246a",
+    "rook_4x4": "4359159a45d4b3d76ae09bbf81c58a953b02b2f4bb5ded113e90ea402e1fd143",
+    "Shrikhande": "fd55d69c8a52bcf67e9e3120486ee9f86582308cb8014072d6811cedddfed32d",
 }
 
 # sha256 over the stream of all_graphs(n), each form prefixed by its length

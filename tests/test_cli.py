@@ -13,7 +13,7 @@ from dissoc.cli import main
 from dissoc.counting import count, max_tree_count
 from dissoc.families import extremal_trees
 from dissoc.graph6 import from_graph6
-from dissoc.reports import scan_family
+from dissoc.reports import THEOREMS, scan_family
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -227,21 +227,25 @@ def test_verify_edge_deletion_small(capsys):
     assert code == 0 and "verified" in out
 
 
-def test_verify_jobs_splits_lemma_2_8_without_changing_stdout(capsys):
-    argv = ["verify", "--theorem", "lemma-2.8", "--orders", "3..6"]
-    code_seq, seq, _ = run(capsys, argv + ["--jobs", "1"])
-    code_par, par, err = run(capsys, argv + ["--jobs", "2"])
-    assert code_seq == code_par == 0 and par == seq
+# small orders for each claim; a claim missing here fails its jobs test
+JOBS_ORDERS = {
+    "bounds-2.1": "1..5",
+    "lemma-2.5": "2..4",
+    "lemma-2.8": "3..6",
+    "tree-max-3.1": "2..8",
+    "connected-max-3.2": "4..6",
+    "unicyclic-max-4.3": "3..8",
+    "path-cycle-4.1": "4..6",
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(THEOREMS))
+def test_verify_jobs_says_when_it_is_not_used(capsys, theorem):
+    argv = ["verify", "--theorem", theorem, "--orders", JOBS_ORDERS[theorem]]
+    code, seq, err = run(capsys, argv + ["--jobs", "1"])
     assert "--jobs" not in err
-
-
-@pytest.mark.parametrize("theorem,orders", [("lemma-2.5", "2..4"), ("path-cycle-4.1", "4..6")])
-def test_verify_jobs_says_when_it_is_not_used(capsys, theorem, orders):
-    argv = ["verify", "--theorem", theorem, "--orders", orders]
-    code, seq, err = run(capsys, argv)
-    assert code == 0 and "--jobs" not in err
-    code, par, err = run(capsys, argv + ["--jobs", "2"])
-    assert code == 0 and par == seq
+    code_par, par, err = run(capsys, argv + ["--jobs", "2"])
+    assert code_par == code and par == seq
     assert f"{theorem}: runs in one process; --jobs 2 is not used" in err
 
 
@@ -361,6 +365,7 @@ def test_empty_order_range_exits_1(capsys, argv):
         ["scan", "--family", "trees", "--order", "5", "--jobs", "0"],
         ["verify", "--theorem", "lemma-2.5", "--orders", "3", "--jobs", "0"],
         ["question", "--orders", "7", "--jobs", "-1"],
+        ["question", "--orders", "7", "--jobs", "2"],
         ["count", "--g6", "A_", "--strict"],
     ],
 )

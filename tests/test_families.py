@@ -53,7 +53,7 @@ def test_star_join_hub_structure():
     assert g.n == 3 + 2 + 3 + 1
     # removing the hub vertex disconnects the parts from the rest
     rest = g.delete_vertices(1)
-    assert [c.n for c in rest.components()] == [2, 2, 3, 1]
+    assert [m.bit_count() for m in rest.component_masks()] == [2, 2, 3, 1]
 
 
 def test_star_join_empty_parts_and_errors():

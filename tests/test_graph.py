@@ -11,11 +11,9 @@ from dissoc.graph import (
     complete_graph,
     cycle_graph,
     disjoint_union,
-    empty_graph,
     path_graph,
     star_graph,
     twin_status,
-    vertex_mask,
 )
 
 
@@ -28,35 +26,36 @@ def test_constructor_rejects_bad_edges():
         Graph(65)
 
 
-def test_bits_and_vertex_mask_roundtrip():
+def test_bits_examples():
     assert list(bits(0b10110)) == [1, 2, 4]
-    assert vertex_mask([1, 2, 4]) == 0b10110
+    assert list(bits(0)) == []
 
 
 def test_closed_neighborhood_examples():
-    assert complete_graph(2).closed_neighborhood(0) == vertex_mask([0, 1])
-    assert path_graph(3).closed_neighborhood(1) == vertex_mask([0, 1, 2])
-    assert Graph(1).closed_neighborhood(0) == vertex_mask([0])
-    assert path_graph(3).open_neighborhood(1) == vertex_mask([0, 2])
+    assert complete_graph(2).closed_neighborhood(0) == 0b11
+    assert path_graph(3).closed_neighborhood(1) == 0b111
+    assert Graph(1).closed_neighborhood(0) == 0b1
+    assert path_graph(3).open_neighborhood(1) == 0b101
     with pytest.raises(ValueError):
         path_graph(3).closed_neighborhood(3)
 
 
 def test_induced_subgraph_examples():
     c4 = cycle_graph(4)
-    assert c4.induced_subgraph(vertex_mask([0, 1])) == complete_graph(2)
-    assert c4.induced_subgraph(vertex_mask([0, 2])) == empty_graph(2)
-    assert path_graph(5).induced_subgraph(vertex_mask([0, 1, 2])) == path_graph(3)
+    assert c4.induced_subgraph(0b0011) == complete_graph(2)
+    assert c4.induced_subgraph(0b0101) == Graph(2)
+    assert path_graph(5).induced_subgraph(0b00111) == path_graph(3)
     assert path_graph(5).induced_subgraph(0) == Graph(0)
     # deletion form
-    assert path_graph(5).delete_vertices(vertex_mask([3, 4])) == path_graph(3)
+    assert path_graph(5).delete_vertices(0b11000) == path_graph(3)
 
 
-def test_components_examples():
+def test_component_masks_examples():
     g = disjoint_union([complete_graph(2), Graph(1)])
-    assert g.components() == [complete_graph(2), Graph(1)]
-    assert cycle_graph(5).components() == [cycle_graph(5)]
-    assert empty_graph(3).components() == [Graph(1)] * 3
+    assert g.component_masks() == [0b011, 0b100]
+    assert cycle_graph(5).component_masks() == [0b11111]
+    assert Graph(3).component_masks() == [0b001, 0b010, 0b100]
+    assert Graph(0).component_masks() == []
 
 
 def test_cycle_space_dim():
@@ -98,7 +97,7 @@ def test_components_partition_vertices(g):
         assert not (union & m)
         union |= m
     assert union == g.vertex_set
-    assert sum(c.n for c in g.components()) == g.n
+    assert sum(m.bit_count() for m in masks) == g.n
 
 
 @given(graphs(min_n=1, max_n=7))

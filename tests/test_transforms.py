@@ -18,7 +18,6 @@ from dissoc.transforms import (
     ComparisonRecord,
     delete_edge_check,
     find_quasi_pendants,
-    normalize_quasi_pendants,
     quasi_pendant_transform,
     spanning_tree_chain,
 )
@@ -134,14 +133,6 @@ def test_quasi_pendant_strictness_on_random_graphs():
         found += 1
         v, _ = sites[0]
         assert count(quasi_pendant_transform(g, v)) > count(g)
-
-
-def test_normalize_leaves_single_pendants_everywhere():
-    g = star_join(1, [star_graph(4), star_graph(3), K2])
-    out = normalize_quasi_pendants(g)
-    assert out.n == g.n
-    assert all(len(p) == 1 for _, p in find_quasi_pendants(out))
-    assert count(out) >= count(g)
 
 
 def test_spanning_tree_chain_examples():
