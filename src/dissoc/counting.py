@@ -50,6 +50,19 @@ vertex v on the slot's memo.  Every mask that branch asks for, and every
 mask below it, lies inside h, so the memo holds values of induced
 subgraphs of h alone, and they hold for every sibling.
 
+Beside it, ``count`` keeps a tree slot, for graphs with n >= 3 vertices
+and n - 1 edges.  The free-tree stream labels each tree in preorder, and
+consecutive trees of it share most of their first parents.  In preorder a
+vertex's lowest neighbour is its parent, and the fold can run in vertex
+order on a stack that holds the path from the last vertex to the root.  The
+slot holds each vertex's lowest-neighbour bit from the last tree counted
+this way and the stack saved after each of its vertices; the next tree
+folds on from the stack saved before its first vertex whose bit differs.
+A graph in which some vertex's lowest neighbour is above it or off the
+stack is no tree in preorder: it takes the walk, and the slot stays as it
+was.  A graph that passes is a tree, as its n - 1 edges, one from each
+vertex i >= 1 down to a neighbour below i, connect it.
+
 Closed forms for paths, stars, cycles and the extremal tree/unicyclic
 maxima live here too.
 All arithmetic is exact (Python ints); counts grow like 2^n.
@@ -97,7 +110,8 @@ def _fold(out: list[int], alone: list[int], paired: list[int], up: list[int]) ->
     in S (alone), and v in S matched to one child (paired).  A child c folds
     into its parent p as: p out takes any state of c; p alone takes c out;
     p paired was paired with c out, or was alone with c alone, which pairs
-    the two.
+    the two.  ``_pop`` makes the same update on the fold stack of
+    ``_count_preorder``.
     """
     for i in range(len(up) - 1, 0, -1):
         p = up[i]
@@ -223,6 +237,61 @@ def _branch(adj: tuple[int, ...], mask: int, v: int, memo: dict[int, int], w: in
 _parent: tuple[tuple[int, ...], dict[int, int]] = ((), {})
 
 
+# a fold stack entry: (vertex bit, out, alone, paired, entry below), the
+# states of ``_fold`` at x = 1; this is the root, vertex 0, on its own
+_ROOT = (1, 1, 1, 0, None)
+
+# the lowest-neighbour bit of each vertex of the last tree counted in
+# preorder, and the fold stack saved after each of its vertices
+_preorder: tuple[list[int], list[tuple]] = ([0], [_ROOT])
+
+
+def _pop(stack: tuple) -> tuple:
+    """Fold the top entry of a fold stack into the entry below it, by the
+    child-into-parent update of ``_fold``."""
+    _, o, a, p, (b, po, pa, pp, below) = stack
+    return (b, po * (o + a + p), pa * o, pp * o + pa * a, below)
+
+
+def _count_preorder(adj: tuple[int, ...]) -> int | None:
+    """d(T) for a tree T labelled in preorder, folded on from the stack that
+    the last such tree saved before the first vertex whose parent differs;
+    None, with the slot unchanged, if ``adj`` is not labelled in preorder.
+
+    In preorder a vertex's lowest neighbour is its parent, and the stack
+    after vertex v - 1 holds the path from v - 1 down to the root, each
+    entry with its finished children folded in.  So v pops entries until
+    its parent is on top, then goes on top itself; entries are never
+    changed, so the stack saved after each vertex costs one reference.
+    """
+    global _preorder
+    n = len(adj)
+    lows = [m & -m for m in adj]
+    last, saved = _preorder
+    # the stack after vertex v depends on the parents of 1..v alone
+    i = 1
+    top = min(n, len(last))
+    while i < top and lows[i] == last[i]:
+        i += 1
+    saved = saved[:i]
+    stack = saved[-1]
+    for v in range(i, n):
+        low = lows[v]
+        # fold the finished subtrees until v's lowest neighbour is on top; a
+        # vertex whose lowest neighbour is above it or off the stack is not
+        # labelled in preorder
+        while stack[0] != low:
+            if stack[4] is None:
+                return None
+            stack = _pop(stack)
+        stack = (1 << v, 1, 1, 0, stack)
+        saved.append(stack)
+    _preorder = (lows, saved)
+    while stack[4] is not None:
+        stack = _pop(stack)
+    return stack[1] + stack[2] + stack[3]
+
+
 def count(g: Graph) -> int:
     """Exact number of dissociation sets of g, empty set included."""
     global _parent
@@ -231,10 +300,17 @@ def count(g: Graph) -> int:
         raise ValueError(f"counting engine capped at {MAX_VERTICES} vertices")
     adj = g.adj
     full = g.vertex_set
+    degrees = sum(map(int.bit_count, adj))
+    # n - 1 edges, each vertex but the root joined to its parent below it,
+    # make a tree; any other graph with n - 1 edges takes the walk
+    if degrees == 2 * n - 2 and n >= 3:
+        total = _count_preorder(adj)
+        if total is not None:
+            return total
     # a last vertex of degree below two makes a poor pivot, and a connected
     # graph with fewer than two edges beyond a spanning tree is folded with
-    # no branch; the cheap degree test goes first, so trees skip the sum
-    if n < 4 or adj[-1].bit_count() < 2 or sum(map(int.bit_count, adj)) < 2 * n + 2:
+    # no branch
+    if n < 4 or adj[-1].bit_count() < 2 or degrees < 2 * n + 2:
         return _count_mask(adj, full, {}, 0)
     rest = full >> 1
     rows = tuple([m & rest for m in adj[:-1]])

@@ -9,7 +9,12 @@ sequence, so each isomorphism class appears exactly once, without a dedup
 set, and only kept sequences become a ``Graph``.  After a sequence whose
 root is no centre, one step at an earlier position skips every later
 sequence that keeps its root's first subtree, or enough of that subtree to
-leave the others too few vertices.  A unicyclic graph is a cycle of rooted
+leave the others too few vertices.  The stream keeps one adjacency, with
+each tree labelled in preorder: a step changes the sequence only from the
+position it steps at, so before each yield the vertices from the first
+position stepped since the last yield are unhooked and hung again, each
+from the first vertex one level up on the climb from its predecessor
+through the parents.  A unicyclic graph is a cycle of rooted
 trees, built once per class from its sequence of rooted trees that is
 smallest under rotation and reflection.  General graphs
 grow by canonical deletion (McKay, "Isomorph-free exhaustive generation",
@@ -83,14 +88,15 @@ def _step(levels: list[int], p: int) -> None:
         levels[i] = levels[i - (p - q)]
 
 
-def _successor(levels: list[int]) -> bool:
+def _successor(levels: list[int]) -> int:
     """Step to the next canonical sequence, at the last position of level 2
-    or more; False, with ``levels`` unchanged, if there is none."""
+    or more, and return that position; 0, with ``levels`` unchanged, if there
+    is none."""
     for p in range(len(levels) - 1, 0, -1):
         if levels[p] >= 2:
             _step(levels, p)
-            return True
-    return False
+            return p
+    return 0
 
 
 def _rooted_level_sequences(n: int) -> Iterator[list[int]]:
@@ -119,16 +125,16 @@ def _hang(levels: list[int], root: int, first: int, adj: list[int]) -> int:
     return v
 
 
-def _tree_from_levels(levels: list[int]) -> Graph:
-    adj = [0] * len(levels)
-    _hang(levels, 0, 1, adj)
-    return Graph.from_adj(tuple(adj))
-
-
 def all_trees(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of free trees on n vertices."""
     _check_order("trees", n)
     levels = list(range(n))
+    # one adjacency for the whole stream: before each yield, the vertices
+    # from ``moved`` on, the first position stepped since the last yield,
+    # are unhooked from their old parents and hung again
+    adj = [0] * n
+    parent = [0] * n
+    moved = 1
     while True:
         # canonical order puts the root's tallest subtree first, at 1..split-1;
         # if the others are more than one level lower, the root is no centre
@@ -149,20 +155,36 @@ def all_trees(n: int) -> Iterator[Graph]:
                 # subtrees hold too few vertices to reach height - 1
                 p = max(n - height + 1, n // 2 + 1)
             _step(levels, p)
+            moved = min(moved, p)
             continue
         if rest == height:
             # two tallest subtrees: the root is the only centre
-            yield _tree_from_levels(levels)
+            keep = True
         else:
             # the root and its first child are the centres; keep the larger
             # rooting.  Rooted at the child, the old root's subtree is the
             # tallest, so it comes first, then the child's own subtrees.
             other = [0, 1] + [l + 1 for l in levels[split:]]
             other += [l - 1 for l in levels[2:split]]
-            if levels >= other:
-                yield _tree_from_levels(levels)
-        if not _successor(levels):
+            keep = levels >= other
+        if keep:
+            for i in range(moved, n):
+                adj[parent[i]] &= ~(1 << i)
+            for i in range(moved, n):
+                # i's parent is the last vertex before it one level up: climb
+                # to it from i - 1, whose ancestors are already hung again
+                u = i - 1
+                while levels[u] >= levels[i]:
+                    u = parent[u]
+                parent[i] = u
+                adj[i] = 1 << u
+                adj[u] |= 1 << i
+            moved = n
+            yield Graph.from_adj(tuple(adj))
+        p = _successor(levels)
+        if not p:
             return
+        moved = min(moved, p)
 
 
 # -- unicyclic graphs --------------------------------------------------------

@@ -99,7 +99,7 @@ class Graph:
                 yield (u, v)
 
     def edge_count(self) -> int:
-        return sum(self.degree(v) for v in range(self.n)) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
     def open_neighborhood(self, v: int) -> int:
         """N(v) as a bitmask."""
@@ -183,6 +183,10 @@ class Graph:
         return self.edge_count() - self.n + len(self.component_masks())
 
     def is_forest(self) -> bool:
+        # n edges or more on n >= 1 vertices leave a cycle: no component
+        # pass is needed to say no
+        if self.n and self.edge_count() >= self.n:
+            return False
         return self.cycle_space_dim() == 0
 
     def is_tree(self) -> bool:

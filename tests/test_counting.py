@@ -20,7 +20,7 @@ from dissoc.counting import (
     subset_bound,
 )
 from dissoc.families import extremal_trees, extremal_unicyclic, pendant_cycle
-from dissoc.generate import all_connected, all_graphs, all_unicyclic
+from dissoc.generate import all_connected, all_graphs, all_trees, all_unicyclic
 from dissoc.graph import (
     Graph,
     bits,
@@ -213,6 +213,137 @@ def test_polynomial_of_a_sibling_after_its_count():
         g = _child(h, mask)
         assert count(g) == count_brute(g)
         assert dissociation_polynomial(g) == brute_polynomial(g)
+
+
+def _lows(g):
+    return [m & -m for m in g.adj]
+
+
+def _in_preorder(g):
+    """True when g is a tree on 3 or more vertices whose depth-first walk
+    from vertex 0, children in increasing order, meets 0, 1, ..., n - 1."""
+    if g.n < 3 or not g.is_tree():
+        return False
+    walk, todo, seen = [], [0], 1
+    while todo:
+        v = todo.pop()
+        walk.append(v)
+        kids = g.adj[v] & ~seen
+        seen |= kids
+        todo.extend(reversed(list(bits(kids))))
+    return walk == list(range(g.n))
+
+
+def _check_tree_slot(graphs, reference):
+    """Count the graphs in order against the reference, and check that a
+    tree in preorder fills the tree slot and any other graph leaves it as
+    it was."""
+    for g in graphs:
+        before = counting._preorder
+        assert count(g) == reference(g)
+        if _in_preorder(g):
+            assert counting._preorder[0] == _lows(g)
+            assert len(counting._preorder[1]) == g.n
+        else:
+            assert counting._preorder is before
+
+
+@pytest.mark.parametrize(
+    "n", [*range(3, 17), *(pytest.param(n, marks=pytest.mark.slow) for n in (17, 18))]
+)
+def test_tree_counts_in_stream_order_match_plain_engine(n):
+    trees = list(all_trees(n))
+    _check_tree_slot(trees, _plain)
+    if n <= 9:
+        _check_tree_slot(trees, count_brute)
+
+
+def _tree_from_parents(parents):
+    """The tree on len(parents) + 1 vertices in which vertex i + 1 hangs
+    from parents[i]."""
+    return Graph(len(parents) + 1, [(p, v) for v, p in enumerate(parents, 1)])
+
+
+@st.composite
+def _preorder_parents(draw, keep=(), max_n=18):
+    """Parents of a tree in preorder, keeping the prefix ``keep``: each new
+    vertex hangs from a vertex on the path from its predecessor to the
+    root."""
+    parents = list(keep)
+    path = [0]
+    for v, p in enumerate(parents, 1):
+        path = path[: path.index(p) + 1] + [v]
+    for v in range(len(parents) + 1, draw(st.integers(len(parents) + 1, max_n))):
+        path = path[: draw(st.integers(0, len(path) - 1)) + 1]
+        parents.append(path[-1])
+        path.append(v)
+    return parents
+
+
+@st.composite
+def _tree_slot_inputs(draw):
+    """Trees in preorder that share prefixes of their parents, mixed with
+    the same trees relabelled, graphs with n - 1 edges that are no trees, a
+    graph counted twice in a row, and children of one parent that take the
+    sibling slot."""
+    parents = draw(_preorder_parents(max_n=14))
+    out = []
+    for kind in draw(st.lists(st.integers(0, 5), max_size=12)):
+        if kind == 0:
+            cut = draw(st.integers(0, len(parents)))
+            parents = draw(_preorder_parents(keep=parents[:cut]))
+            out.append(_tree_from_parents(parents))
+        elif kind == 1:
+            t = _tree_from_parents(parents)
+            out.append(t.relabel(draw(st.permutations(range(t.n)))))
+        elif kind == 2:
+            out.append(disjoint_union([complete_graph(3), Graph(1)]).relabel(
+                draw(st.permutations(range(4)))
+            ))
+        elif kind == 3:
+            # a tree in preorder first, so its parents may match the slot's,
+            # then a cycle, whose first vertex has no neighbour below it
+            out.append(disjoint_union([
+                _tree_from_parents(parents[: draw(st.integers(0, len(parents)))]),
+                cycle_graph(draw(st.integers(3, 6))),
+            ]))
+        elif kind == 4 and out:
+            out.append(out[-1])
+        elif kind == 5:
+            h = complete_graph(draw(st.integers(4, 7)))
+            for mask in draw(st.lists(st.integers(3, (1 << h.n) - 1), min_size=1, max_size=3)):
+                out.append(_child(h, mask))
+    return out
+
+
+@given(_tree_slot_inputs())
+def test_tree_slot_in_mixed_streams_matches_brute_and_plain_engine(graphs):
+    _check_tree_slot(graphs, lambda g: count_brute(g) if g.n <= 10 else _plain(g))
+
+
+def test_plain_path_leaves_the_tree_slot_as_it_was():
+    tree = _tree_from_parents([0, 1, 1, 0, 4])
+    assert count(tree) == count_brute(tree)
+    slot = counting._preorder
+    assert slot[0] == _lows(tree)
+    others = [
+        tree.relabel([5, 4, 3, 2, 1, 0]),  # vertex 0 is a leaf
+        tree.relabel([0, 4, 5, 3, 1, 2]),  # a breadth-first labelling
+        disjoint_union([Graph(1), complete_graph(3)]),
+        disjoint_union([_tree_from_parents([0, 1]), cycle_graph(3)]),
+        star_graph(4).relabel([2, 0, 1, 3]),  # vertex 1 hangs from 2
+        path_graph(2),
+        complete_graph(5),
+    ]
+    for g in others:
+        assert not _in_preorder(g)
+        assert count(g) == count_brute(g)
+        assert counting._preorder is slot
+    # the slot still serves the trees that share its parents
+    for parents in ([0, 1, 1, 0, 4, 4], [0, 1, 1, 0], [0, 1, 1, 1, 4]):
+        t = _tree_from_parents(parents)
+        assert count(t) == count_brute(t)
+        assert counting._preorder[0] == _lows(t)
 
 
 def test_branch_partition_examples():

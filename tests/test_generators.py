@@ -63,6 +63,23 @@ def test_tree_stream_structure_and_determinism():
         assert t.is_tree() and t.n == 9
 
 
+def test_tree_stream_yields_graphs_that_keep_their_adjacency():
+    """The stream re-hangs one adjacency from tree to tree; each graph it
+    yielded keeps the edges it had when yielded."""
+    live = [to_graph6(t) for t in all_trees(12)]
+    held = list(all_trees(12))
+    assert [to_graph6(t) for t in held] == live
+    assert held == list(all_trees(12))
+
+
+@pytest.mark.parametrize("n", [2, 5, 9, 13])
+def test_interleaved_tree_streams_match_one_stream(n):
+    a, b = all_trees(n), all_trees(n)
+    pairs = list(zip(a, b))
+    assert [x for x, _ in pairs] == [y for _, y in pairs] == list(all_trees(n))
+    assert next(a, None) is next(b, None) is None
+
+
 # n = 16 walks 235,381 rooted sequences through the reference (about 8 s)
 @pytest.mark.parametrize(
     "n", [*range(1, 16), pytest.param(16, marks=pytest.mark.slow)]

@@ -67,6 +67,25 @@ def test_cycle_space_dim():
     assert two_triangles.cycle_space_dim() == 2
 
 
+def test_is_forest_examples():
+    assert Graph(0).is_forest()
+    assert Graph(1).is_forest() and Graph(3).is_forest()
+    assert path_graph(7).is_forest() and star_graph(5).is_forest()
+    assert disjoint_union([path_graph(3), complete_graph(2)]).is_forest()
+    # n edges or more: no forest, from the edge count alone
+    assert not cycle_graph(5).is_forest()
+    assert not complete_graph(4).is_forest()
+    assert not disjoint_union([complete_graph(3), complete_graph(2)]).is_forest()
+    # fewer than n edges with a cycle: the component pass decides
+    assert not disjoint_union([complete_graph(3), Graph(1)]).is_forest()
+    assert not disjoint_union([cycle_graph(4), Graph(3)]).is_forest()
+
+
+@given(graphs(max_n=8))
+def test_is_forest_matches_cycle_space_dim(g):
+    assert g.is_forest() == (g.cycle_space_dim() == 0)
+
+
 def test_twin_status_examples():
     k3 = complete_graph(3)
     assert twin_status(k3, 0, 1) == TRUE_TWIN
