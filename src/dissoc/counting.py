@@ -50,18 +50,13 @@ vertex v on the slot's memo.  Every mask that branch asks for, and every
 mask below it, lies inside h, so the memo holds values of induced
 subgraphs of h alone, and they hold for every sibling.
 
-Beside it, ``count`` keeps a tree slot, for graphs with n >= 3 vertices
-and n - 1 edges.  The free-tree stream labels each tree in preorder, and
-consecutive trees of it share most of their first parents.  In preorder a
-vertex's lowest neighbour is its parent, and the fold can run in vertex
-order on a stack that holds the path from the last vertex to the root.  The
-slot holds each vertex's lowest-neighbour bit from the last tree counted
-this way and the stack saved after each of its vertices; the next tree
-folds on from the stack saved before its first vertex whose bit differs.
-A graph in which some vertex's lowest neighbour is above it or off the
-stack is no tree in preorder: it takes the walk, and the slot stays as it
-was.  A graph that passes is a tree, as its n - 1 edges, one from each
-vertex i >= 1 down to a neighbour below i, connect it.
+A graph with n - 1 edges in which every vertex i >= 1 has its lowest
+neighbour p(i) below i is a tree, and p(i) is the parent of i: the n - 1
+edges {i, p(i)} are distinct, so they are all the edges, and following p
+from any vertex reaches 0.  ``count`` folds such a graph from vertex n - 1
+down to 1, each vertex into its parent, with no walk.  The free-tree stream
+labels its trees in preorder, which passes, as does a breadth-first
+labelling; any other graph with n - 1 edges takes the walk.
 
 Closed forms for paths, stars, cycles and the extremal tree/unicyclic
 maxima live here too.
@@ -110,8 +105,7 @@ def _fold(out: list[int], alone: list[int], paired: list[int], up: list[int]) ->
     in S (alone), and v in S matched to one child (paired).  A child c folds
     into its parent p as: p out takes any state of c; p alone takes c out;
     p paired was paired with c out, or was alone with c alone, which pairs
-    the two.  ``_pop`` makes the same update on the fold stack of
-    ``_count_preorder``.
+    the two.  ``_fold_down`` makes the same update in vertex order.
     """
     for i in range(len(up) - 1, 0, -1):
         p = up[i]
@@ -237,59 +231,34 @@ def _branch(adj: tuple[int, ...], mask: int, v: int, memo: dict[int, int], w: in
 _parent: tuple[tuple[int, ...], dict[int, int]] = ((), {})
 
 
-# a fold stack entry: (vertex bit, out, alone, paired, entry below), the
-# states of ``_fold`` at x = 1; this is the root, vertex 0, on its own
-_ROOT = (1, 1, 1, 0, None)
+def _fold_down(adj: tuple[int, ...]) -> int | None:
+    """d(G) for a graph G with n - 1 edges in which every vertex i >= 1 has
+    its lowest neighbour below i, which makes G a tree; None when some
+    vertex i >= 1 has no neighbour below it.
 
-# the lowest-neighbour bit of each vertex of the last tree counted in
-# preorder, and the fold stack saved after each of its vertices
-_preorder: tuple[list[int], list[tuple]] = ([0], [_ROOT])
-
-
-def _pop(stack: tuple) -> tuple:
-    """Fold the top entry of a fold stack into the entry below it, by the
-    child-into-parent update of ``_fold``."""
-    _, o, a, p, (b, po, pa, pp, below) = stack
-    return (b, po * (o + a + p), pa * o, pp * o + pa * a, below)
-
-
-def _count_preorder(adj: tuple[int, ...]) -> int | None:
-    """d(T) for a tree T labelled in preorder, folded on from the stack that
-    the last such tree saved before the first vertex whose parent differs;
-    None, with the slot unchanged, if ``adj`` is not labelled in preorder.
-
-    In preorder a vertex's lowest neighbour is its parent, and the stack
-    after vertex v - 1 holds the path from v - 1 down to the root, each
-    entry with its finished children folded in.  So v pops entries until
-    its parent is on top, then goes on top itself; entries are never
-    changed, so the stack saved after each vertex costs one reference.
+    That neighbour is the parent of i and every child lies above its
+    parent, so folding i into its parent for i = n - 1 down to 1 folds each
+    vertex after all of its children, by the update of ``_fold`` at x = 1.
     """
-    global _preorder
     n = len(adj)
-    lows = [m & -m for m in adj]
-    last, saved = _preorder
-    # the stack after vertex v depends on the parents of 1..v alone
-    i = 1
-    top = min(n, len(last))
-    while i < top and lows[i] == last[i]:
-        i += 1
-    saved = saved[:i]
-    stack = saved[-1]
-    for v in range(i, n):
-        low = lows[v]
-        # fold the finished subtrees until v's lowest neighbour is on top; a
-        # vertex whose lowest neighbour is above it or off the stack is not
-        # labelled in preorder
-        while stack[0] != low:
-            if stack[4] is None:
-                return None
-            stack = _pop(stack)
-        stack = (1 << v, 1, 1, 0, stack)
-        saved.append(stack)
-    _preorder = (lows, saved)
-    while stack[4] is not None:
-        stack = _pop(stack)
-    return stack[1] + stack[2] + stack[3]
+    out = [1] * n
+    alone = [1] * n
+    paired = [0] * n
+    for i in range(n - 1, 0, -1):
+        m = adj[i]
+        p = (m & -m).bit_length() - 1
+        if p < 0 or p >= i:  # no neighbour, or none below i
+            return None
+        o = out[i]
+        if o == 1:  # no child folded in: the update below at (1, 1, 0)
+            out[p] *= 2
+            paired[p] += alone[p]
+            continue
+        a = alone[i]
+        out[p] *= o + a + paired[i]
+        paired[p] = paired[p] * o + alone[p] * a
+        alone[p] *= o
+    return out[0] + alone[0] + paired[0]
 
 
 def count(g: Graph) -> int:
@@ -303,8 +272,8 @@ def count(g: Graph) -> int:
     degrees = sum(map(int.bit_count, adj))
     # n - 1 edges, each vertex but the root joined to its parent below it,
     # make a tree; any other graph with n - 1 edges takes the walk
-    if degrees == 2 * n - 2 and n >= 3:
-        total = _count_preorder(adj)
+    if degrees == 2 * n - 2:
+        total = _fold_down(adj)
         if total is not None:
             return total
     # a last vertex of degree below two makes a poor pivot, and a connected

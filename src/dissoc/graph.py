@@ -176,7 +176,7 @@ class Graph:
         return out
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.component_masks()) == 1
+        return component(self.adj, self.vertex_set) == self.vertex_set
 
     def cycle_space_dim(self) -> int:
         """|E| - |V| + (number of components); 0 iff forest."""

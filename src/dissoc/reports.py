@@ -270,6 +270,7 @@ def _verify_quasi_pendant(verdict: TheoremVerdict, orders: list[int]) -> None:
         sites = 0
         for g in all_connected(n):
             before = count(g)
+            failed = False
             for u_q, pendants in find_quasi_pendants(g):
                 if len(pendants) < 2:
                     continue
@@ -277,8 +278,9 @@ def _verify_quasi_pendant(verdict: TheoremVerdict, orders: list[int]) -> None:
                 after = count(quasi_pendant_transform(g, u_q))
                 degenerate = g.degree(u_q) == len(pendants) == 2
                 ok = before == after if degenerate else before < after
-                if not ok:
-                    bad.append(to_graph6(g))
+                failed = failed or not ok
+            if failed:
+                bad.append(to_graph6(g))
         verdict.record(n, not bad, sites, f"{sites} rewiring sites", bad)
 
 

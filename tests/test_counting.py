@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -215,37 +216,13 @@ def test_polynomial_of_a_sibling_after_its_count():
         assert dissociation_polynomial(g) == brute_polynomial(g)
 
 
-def _lows(g):
-    return [m & -m for m in g.adj]
-
-
-def _in_preorder(g):
-    """True when g is a tree on 3 or more vertices whose depth-first walk
-    from vertex 0, children in increasing order, meets 0, 1, ..., n - 1."""
-    if g.n < 3 or not g.is_tree():
-        return False
-    walk, todo, seen = [], [0], 1
-    while todo:
-        v = todo.pop()
-        walk.append(v)
-        kids = g.adj[v] & ~seen
-        seen |= kids
-        todo.extend(reversed(list(bits(kids))))
-    return walk == list(range(g.n))
-
-
-def _check_tree_slot(graphs, reference):
-    """Count the graphs in order against the reference, and check that a
-    tree in preorder fills the tree slot and any other graph leaves it as
-    it was."""
+def _check_counts(graphs, reference):
     for g in graphs:
-        before = counting._preorder
         assert count(g) == reference(g)
-        if _in_preorder(g):
-            assert counting._preorder[0] == _lows(g)
-            assert len(counting._preorder[1]) == g.n
-        else:
-            assert counting._preorder is before
+
+
+def _brute_or_plain(g):
+    return count_brute(g) if g.n <= 10 else _plain(g)
 
 
 @pytest.mark.parametrize(
@@ -253,9 +230,9 @@ def _check_tree_slot(graphs, reference):
 )
 def test_tree_counts_in_stream_order_match_plain_engine(n):
     trees = list(all_trees(n))
-    _check_tree_slot(trees, _plain)
+    _check_counts(trees, _plain)
     if n <= 9:
-        _check_tree_slot(trees, count_brute)
+        _check_counts(trees, count_brute)
 
 
 def _tree_from_parents(parents):
@@ -281,7 +258,7 @@ def _preorder_parents(draw, keep=(), max_n=18):
 
 
 @st.composite
-def _tree_slot_inputs(draw):
+def _mixed_tree_inputs(draw):
     """Trees in preorder that share prefixes of their parents, mixed with
     the same trees relabelled, graphs with n - 1 edges that are no trees, a
     graph counted twice in a row, and children of one parent that take the
@@ -301,8 +278,8 @@ def _tree_slot_inputs(draw):
                 draw(st.permutations(range(4)))
             ))
         elif kind == 3:
-            # a tree in preorder first, so its parents may match the slot's,
-            # then a cycle, whose first vertex has no neighbour below it
+            # a tree in preorder, then a cycle, whose first vertex has no
+            # neighbour below it
             out.append(disjoint_union([
                 _tree_from_parents(parents[: draw(st.integers(0, len(parents)))]),
                 cycle_graph(draw(st.integers(3, 6))),
@@ -316,34 +293,56 @@ def _tree_slot_inputs(draw):
     return out
 
 
-@given(_tree_slot_inputs())
-def test_tree_slot_in_mixed_streams_matches_brute_and_plain_engine(graphs):
-    _check_tree_slot(graphs, lambda g: count_brute(g) if g.n <= 10 else _plain(g))
+@given(_mixed_tree_inputs())
+def test_mixed_tree_streams_match_brute_and_plain_engine(graphs):
+    _check_counts(graphs, _brute_or_plain)
 
 
-def test_plain_path_leaves_the_tree_slot_as_it_was():
+def _breadth_first(g):
+    """g relabelled in the order of a breadth-first walk from vertex 0,
+    neighbours in increasing order, so that every parent is below its
+    children."""
+    order, seen = [0], 1
+    for v in order:  # order grows while walked
+        kids = g.adj[v] & ~seen
+        seen |= kids
+        order.extend(bits(kids))
+    perm = [0] * g.n
+    for label, v in enumerate(order):
+        perm[v] = label
+    return g.relabel(perm)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_relabelled_trees_match_brute_and_plain_engine(n):
+    rng = random.Random(n)
+    for t in all_trees(n):
+        shuffled = list(range(n))
+        rng.shuffle(shuffled)
+        bfs = _breadth_first(t)
+        # every parent lies below its children in the stream's preorder and
+        # in a breadth-first labelling, so both take the downward fold
+        assert counting._fold_down(t.adj) is not None
+        assert counting._fold_down(bfs.adj) is not None
+        _check_counts([t, t.relabel(shuffled), bfs], _brute_or_plain)
+
+
+def test_graphs_with_n_minus_1_edges_off_the_downward_rule_take_the_walk():
     tree = _tree_from_parents([0, 1, 1, 0, 4])
-    assert count(tree) == count_brute(tree)
-    slot = counting._preorder
-    assert slot[0] == _lows(tree)
-    others = [
+    graphs = [
         tree.relabel([5, 4, 3, 2, 1, 0]),  # vertex 0 is a leaf
-        tree.relabel([0, 4, 5, 3, 1, 2]),  # a breadth-first labelling
-        disjoint_union([Graph(1), complete_graph(3)]),
-        disjoint_union([_tree_from_parents([0, 1]), cycle_graph(3)]),
+        tree.relabel([0, 4, 5, 3, 1, 2]),  # vertex 3 hangs from 4
         star_graph(4).relabel([2, 0, 1, 3]),  # vertex 1 hangs from 2
-        path_graph(2),
-        complete_graph(5),
+        disjoint_union([_tree_from_parents([0, 1]), cycle_graph(3)]),
     ]
-    for g in others:
-        assert not _in_preorder(g)
-        assert count(g) == count_brute(g)
-        assert counting._preorder is slot
-    # the slot still serves the trees that share its parents
-    for parents in ([0, 1, 1, 0, 4, 4], [0, 1, 1, 0], [0, 1, 1, 1, 4]):
-        t = _tree_from_parents(parents)
-        assert count(t) == count_brute(t)
-        assert counting._preorder[0] == _lows(t)
+    # K_3 and K_1 fail the rule in every labelling: at the isolated vertex,
+    # or at the triangle's lowest vertex when the isolated one is 0
+    k3_k1 = disjoint_union([complete_graph(3), Graph(1)])
+    graphs += [k3_k1.relabel(list(perm)) for perm in itertools.permutations(range(4))]
+    for g in graphs:
+        assert g.edge_count() == g.n - 1
+        assert counting._fold_down(g.adj) is None
+    _check_counts(graphs, count_brute)
 
 
 def test_branch_partition_examples():

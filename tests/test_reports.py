@@ -123,6 +123,15 @@ def test_order_with_nothing_to_check_is_an_error(theorem, orders):
             verify_theorem(theorem, range(n, FIRST_CASE[theorem] + 1))
 
 
+def test_quasi_pendant_counterexamples_list_each_graph_once(monkeypatch):
+    # a count that never changes fails every rewiring site but the
+    # degenerate one, and some graphs of order 6 have two sites
+    monkeypatch.setattr(reports, "count", lambda g: 1)
+    bad = verify_theorem("lemma-2.8", [6]).counterexamples[6]
+    assert bad
+    assert len(bad) == len(set(bad))
+
+
 def test_connected_max_verdict_flags_only_order_3():
     verdict = verify_theorem("connected-max-3.2", range(2, 6))
     assert verdict.status[3] == "violated"
